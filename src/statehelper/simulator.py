@@ -7,19 +7,23 @@ why rate-distortion-style encoding collapses against a state-aware opponent.
 
 Codebooks are nominally 2^ceil(n*rate) i.i.d. sequences.  Small codebooks are
 materialized and enumerated exactly.  When the nominal codebook exceeds the
-memory cap, trials run on a statistically equivalent reduction: the number of
-codewords jointly typical with the realized state sequence is Poisson with a
-mean computed exactly from multinomial box probabilities, and those members
-are sampled from the conditional law of an i.i.d. codeword given typicality.
-When even the typical set is large, competitor codewords enter the adversary
-posterior through their exact count and a saddlepoint (Lugannani-Rice) tail
-bound on the chance that any of them outweighs the true codeword.
+memory cap, trials run on a virtual codebook: the number of codewords jointly
+typical with the realized state sequence is Poisson with a mean computed
+exactly from multinomial box probabilities, and the sent codeword is sampled
+from the conditional law of an i.i.d. codeword given typicality, so the
+encoder side matches the materialized path in law.  The decoder side is
+exact only while the typical set is small enough to enumerate; beyond that,
+competitor codewords enter the adversary's play through their exact count
+and a saddlepoint (Lugannani-Rice) approximation of the chance that any of
+them outweighs the true codeword.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, replace
+import itertools
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import gammaln, ndtr
@@ -32,6 +36,7 @@ DEFAULT_CODEBOOK_CAP = 1 << 22  # total symbols: count * n
 DEFAULT_EPSILON = 0.05
 BOX_MATERIALIZE_CAP = 4096  # typical-set members materialized below this
 ADVERSARIES = ("oblivious", "decoder", "decoder_with_state")
+SELECTIONS = ("tilted", "uniform", "first")
 
 _LOG2 = np.log(2.0)
 _NEG_INF = -np.inf
@@ -81,21 +86,38 @@ def build_codebook(scheme: Scheme, n: int, rate: float, seed: int,
     return Codebook(n=n, rate=float(rate), sequences=seqs.astype(np.int16), seed=seed)
 
 
+def _typical_cells(counts, n, target, epsilon):
+    """Per-cell typicality of (u, s) counts over a block of length n."""
+    return np.abs(counts / n - target) <= epsilon + 1e-12
+
+
+def _typical_set(sequences, state_seq, target_joint, epsilon):
+    """Joint (u, s) types of sequences against one state sequence, and typicality.
+
+    The typical-set kernel: a single flat-offset bincount counts every row
+    at once.  Returns counts of shape (rows, |U|, |S|) and the mask of rows
+    whose every cell passes `_typical_cells`.
+    """
+    seqs = np.atleast_2d(np.asarray(sequences))
+    rows, n = seqs.shape
+    card_u, ns = target_joint.shape
+    cells = card_u * ns
+    flat = np.arange(rows)[:, None] * cells + seqs * ns + np.asarray(state_seq)
+    counts = np.bincount(flat.ravel(), minlength=rows * cells)
+    counts = counts.reshape(rows, card_u, ns)
+    typical = _typical_cells(counts, n, target_joint, epsilon).all(axis=(1, 2))
+    return counts, typical
+
+
 def joint_type_counts(u_seq, s_seq, card_u, n_states):
     """Empirical joint counts over (u, s) pairs."""
-    u_seq = np.asarray(u_seq)
-    s_seq = np.asarray(s_seq)
-    counts = np.zeros((card_u, n_states), dtype=np.int64)
-    np.add.at(counts, (u_seq, s_seq), 1)
-    return counts
+    # the counts do not depend on the target handed to the kernel
+    return _typical_set(u_seq, s_seq, np.zeros((card_u, n_states)), 0.0)[0][0]
 
 
 def is_jointly_typical(u_seq, s_seq, target_joint, epsilon):
-    """L-infinity closeness of the empirical joint type to the target joint."""
-    n = len(s_seq)
-    counts = joint_type_counts(u_seq, s_seq, target_joint.shape[0],
-                               target_joint.shape[1])
-    return np.max(np.abs(counts / n - target_joint)) <= epsilon + 1e-12
+    """Whether the joint type of (u_seq, s_seq) is typical for the target joint."""
+    return bool(_typical_set(u_seq, s_seq, target_joint, epsilon)[1][0])
 
 
 class EncoderFailure(Exception):
@@ -107,31 +129,24 @@ def _target_joint_us(game_prior, scheme):
     return (scheme.p_u_given_s.rows * np.asarray(game_prior)[:, None]).T
 
 
-def encode(codebook: Codebook, state_seq, scheme: Scheme, epsilon: float,
-           seed: int, prior=None, selection: str = "tilted") -> int:
-    """Choose a codeword jointly typical with the state sequence.
+def _typical_codewords(sequences, state_seq, scheme, epsilon):
+    """Indices of the typical codewords and every codeword's log tilt weight.
 
-    selection "tilted" weights typical codewords by their conditional
-    likelihood given the states (so the chosen codeword behaves like an
-    i.i.d. p(U|S) draw); "uniform" picks uniformly among typical codewords;
-    "first" deterministically takes the lowest index (rate-distortion style).
-    Raises EncoderFailure when no codeword qualifies.
+    Typicality and tilt are taken at the empirical state type; the weight is
+    -inf off the typical set.
     """
-    state_seq = np.asarray(state_seq)
-    n = codebook.n
-    if len(state_seq) != n:
-        raise ContractViolationError("state sequence length must equal block length")
     ns = scheme.p_u_given_s.from_size
-    if prior is None:
-        prior = np.bincount(state_seq, minlength=ns) / n
-    target = _target_joint_us(prior, scheme)
-    seqs = codebook.sequences
-    # joint types for every codeword at once
-    flat = seqs * ns + state_seq[None, :]
-    counts = np.apply_along_axis(np.bincount, 1, flat, minlength=scheme.card_u * ns)
-    counts = counts.reshape(seqs.shape[0], scheme.card_u, ns)
-    typical = np.max(np.abs(counts / n - target[None]), axis=(1, 2)) <= epsilon + 1e-12
+    emp = np.bincount(state_seq, minlength=ns) / len(state_seq)
+    _, typical = _typical_set(sequences, state_seq,
+                              _target_joint_us(emp, scheme), epsilon)
     idx = np.flatnonzero(typical)
+    log_w = np.full(len(typical), _NEG_INF)
+    log_w[idx] = _log_tilt_table(emp, scheme)[sequences[idx], state_seq].sum(axis=1)
+    return idx, log_w
+
+
+def _select_codeword(idx, log_w, selection, seed):
+    """The encoder's choice among the typical codewords `idx` (see `encode`)."""
     if idx.size == 0:
         raise EncoderFailure("no jointly typical codeword in the codebook")
     if selection == "first":
@@ -141,13 +156,40 @@ def encode(codebook: Codebook, state_seq, scheme: Scheme, epsilon: float,
         return int(rng.choice(idx))
     if selection != "tilted":
         raise ContractViolationError(f"unknown selection rule {selection!r}")
-    log_tilt = _log_tilt_table(prior, scheme)  # (u, s)
-    w = np.array([log_tilt[seqs[i], state_seq].sum() for i in idx])
+    w = log_w[idx]
     m = w.max()
     if not np.isfinite(m):
         return int(rng.choice(idx))
     w = np.exp(w - m)
     return int(rng.choice(idx, p=w / w.sum()))
+
+
+def _rule_prior(idx, log_w, selection):
+    """Log prior over codewords of an adversary who sees the states and the rule."""
+    if selection == "tilted":
+        return log_w
+    prior = np.full(log_w.size, _NEG_INF)
+    # the deterministic encoder's choice is reproducible: the lowest index
+    prior[idx[:1] if selection == "first" else idx] = 0.0
+    return prior
+
+
+def encode(codebook: Codebook, state_seq, scheme: Scheme, epsilon: float,
+           seed: int, selection: str = "tilted") -> int:
+    """Choose a codeword jointly typical with the state sequence.
+
+    Typicality is measured against the empirical state type.  Selection
+    "tilted" weights typical codewords by their conditional likelihood given
+    the states (so the chosen codeword behaves like an i.i.d. p(U|S) draw);
+    "uniform" picks uniformly among typical codewords; "first"
+    deterministically takes the lowest index (rate-distortion style).
+    Raises EncoderFailure when no codeword qualifies.
+    """
+    state_seq = np.asarray(state_seq)
+    if len(state_seq) != codebook.n:
+        raise ContractViolationError("state sequence length must equal block length")
+    idx, log_w = _typical_codewords(codebook.sequences, state_seq, scheme, epsilon)
+    return _select_codeword(idx, log_w, selection, seed)
 
 
 def _log_tilt_table(prior, scheme):
@@ -165,8 +207,8 @@ def decode_actions(codeword, scheme: Scheme, seed: int):
     rows = scheme.p_a_given_u.rows
     u = rng.random(len(codeword))
     cdf = np.cumsum(rows, axis=1)
-    return np.array([int(np.searchsorted(cdf[c], x, side="right"))
-                     for c, x in zip(codeword, u)]).clip(0, rows.shape[1] - 1)
+    # the number of cdf entries <= u is the inverse-cdf draw
+    return (cdf[codeword] <= u[:, None]).sum(axis=1).clip(0, rows.shape[1] - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -174,20 +216,17 @@ def decode_actions(codeword, scheme: Scheme, seed: int):
 
 
 def _box_vectors(n_s, n, p_col, epsilon):
-    """All count vectors c (sum n_s) with |c/n - p_col| <= epsilon per entry."""
+    """All count vectors c (sum n_s) whose cells pass `_typical_cells`."""
     card = p_col.size
     lo = np.maximum(np.ceil((p_col - epsilon) * n - 1e-9).astype(int), 0)
     hi = np.minimum(np.floor((p_col + epsilon) * n + 1e-9).astype(int), n_s)
     if np.any(lo > hi):
         return np.zeros((0, card), dtype=int)
-    ranges = [range(lo[i], hi[i] + 1) for i in range(card - 1)]
-    out = []
-    import itertools
-    for head in itertools.product(*ranges):
-        last = n_s - sum(head)
-        if lo[card - 1] <= last <= hi[card - 1]:
-            out.append(head + (last,))
-    return np.array(out, dtype=int).reshape(-1, card)
+    heads = np.array(list(itertools.product(
+        *(range(lo[i], hi[i] + 1) for i in range(card - 1)))), dtype=int)
+    vecs = np.column_stack([heads.reshape(-1, card - 1),
+                            n_s - heads.reshape(-1, card - 1).sum(axis=1)])
+    return vecs[_typical_cells(vecs, n, p_col, epsilon).all(axis=1)]
 
 
 def _log_multinomial_pmf(vectors, n_s, p):
@@ -201,24 +240,50 @@ def _log_multinomial_pmf(vectors, n_s, p):
     return ll
 
 
-def typicality_log_prob(state_counts, target_joint, epsilon, p_u):
-    """ln P(an i.i.d. p_U sequence is jointly typical with a given state sequence).
+def _state_boxes(state_counts, target_joint, epsilon, symbol_dist_per_state):
+    """Each state's typicality box under i.i.d. per-state symbol laws.
 
-    Exact: symbols in the positions of each state are i.i.d. p_U, so the
-    per-state count vectors are independent multinomials restricted to boxes.
+    Symbols in the positions of state s are i.i.d. symbol_dist_per_state[s],
+    so the per-state count vectors are independent multinomials restricted
+    to boxes.  Returns (boxes, log mass): boxes[s] is (count vectors, their
+    conditional probabilities), and the log mass is ln P(every count vector
+    lands in its box).  Boxes are None when some box is empty or has zero
+    mass under its law.
     """
     n = int(state_counts.sum())
-    total = 0.0
+    boxes, total = [], 0.0
     for s, n_s in enumerate(state_counts):
         vecs = _box_vectors(int(n_s), n, target_joint[:, s], epsilon)
         if vecs.shape[0] == 0:
-            return _NEG_INF
-        ll = _log_multinomial_pmf(vecs, int(n_s), p_u)
+            return None, _NEG_INF
+        ll = _log_multinomial_pmf(vecs, int(n_s), symbol_dist_per_state[s])
         m = ll.max()
         if not np.isfinite(m):
-            return _NEG_INF
-        total += m + np.log(np.exp(ll - m).sum())
-    return total
+            return None, _NEG_INF
+        w = np.exp(ll - m)
+        boxes.append((vecs, w / w.sum()))
+        total += m + np.log(w.sum())
+    return boxes, total
+
+
+def typicality_log_prob(state_counts, target_joint, epsilon, p_u):
+    """ln P(an i.i.d. p_U sequence is jointly typical with a given state sequence).
+
+    Exact: the sum over every state's box of multinomial probabilities.
+    """
+    laws = np.tile(p_u, (len(state_counts), 1))
+    return _state_boxes(state_counts, target_joint, epsilon, laws)[1]
+
+
+def _draw_box_codeword(rng, state_seq, boxes):
+    """One codeword: a box vector per state, its symbols shuffled into place."""
+    out = np.empty(len(state_seq), dtype=np.int16)
+    for s, (vecs, p) in enumerate(boxes):
+        vec = vecs[rng.choice(len(vecs), p=p)]
+        symbols = np.repeat(np.arange(vecs.shape[1]), vec)
+        rng.shuffle(symbols)
+        out[state_seq == s] = symbols
+    return out
 
 
 def _sample_box_codeword(rng, state_seq, state_counts, target_joint, epsilon,
@@ -229,27 +294,13 @@ def _sample_box_codeword(rng, state_seq, state_counts, target_joint, epsilon,
     plain codebook member, p(u|s) for the tilted/true codeword).  Returns None
     if some box is empty or has zero mass under the law.
     """
-    n = len(state_seq)
-    card_u = target_joint.shape[0]
-    out = np.empty(n, dtype=np.int16)
-    for s, n_s in enumerate(state_counts):
-        vecs = _box_vectors(int(n_s), n, target_joint[:, s], epsilon)
-        if vecs.shape[0] == 0:
-            return None
-        ll = _log_multinomial_pmf(vecs, int(n_s), symbol_dist_per_state[s])
-        m = ll.max()
-        if not np.isfinite(m):
-            return None
-        w = np.exp(ll - m)
-        vec = vecs[rng.choice(len(vecs), p=w / w.sum())]
-        symbols = np.repeat(np.arange(card_u), vec)
-        rng.shuffle(symbols)
-        out[state_seq == s] = symbols
-    return out
+    boxes, _ = _state_boxes(state_counts, target_joint, epsilon,
+                            symbol_dist_per_state)
+    return None if boxes is None else _draw_box_codeword(rng, state_seq, boxes)
 
 
 # ---------------------------------------------------------------------------
-# saddlepoint tail bound for the analytic competitor ensemble
+# saddlepoint tail approximation for the analytic competitor ensemble
 
 
 class _CompetitorTail:
@@ -257,10 +308,11 @@ class _CompetitorTail:
 
     Each cell has a small set of finite atom values with nonnegative weights
     (weights need not sum to 1; the missing mass is a -inf atom that removes
-    a draw from contention).  log_tail(counts, threshold) bounds
-    ln P(sum of counts[c] draws from cell c >= threshold) with a
-    Lugannani-Rice saddlepoint approximation, warm-starting the saddlepoint
-    across calls so sweeping a block costs a few Newton steps per position.
+    a draw from contention).  log_tail(counts, threshold) approximates
+    ln P(sum of counts[c] draws from cell c >= threshold) with the
+    Lugannani-Rice saddlepoint formula, capped by the survival probability,
+    warm-starting the saddlepoint across calls so sweeping a block costs a
+    few Newton steps per position.
     """
 
     def __init__(self, cell_values, cell_logw):
@@ -311,7 +363,7 @@ class _CompetitorTail:
             # mass concentrated exactly at the supremum
             return float(counts @ self.log_w_at_max)
         if threshold <= float(counts @ self.mean_cond):
-            return log_survival  # bulk regime: bound by survival probability
+            return log_survival  # bulk regime: the survival probability
         theta = min(max(self.theta, 1e-6), 200.0)
         lo, hi = 0.0, np.inf
         k0 = k1 = k2 = 0.0
@@ -349,36 +401,25 @@ class _CompetitorTail:
         return min(np.log(tail), log_survival)
 
 
-def _saddlepoint_log_tail(atom_values, atom_logw, cell_counts, threshold):
-    """One-off wrapper over _CompetitorTail for a single evaluation."""
-    return _CompetitorTail(list(atom_values), list(atom_logw)).log_tail(
-        np.asarray(cell_counts, dtype=float), threshold)
-
-
 # ---------------------------------------------------------------------------
 # adversaries
 
 
 class ObliviousAdversary:
-    """Plays the minimax mix of the relevant averaged game every iteration."""
+    """Plays a fixed minimax mix every iteration, one row of `mixes` per state.
 
-    def __init__(self, game: Game, sees_state: bool, rng):
-        self.sees_state = sees_state
+    For an opponent blind to the state every row is the averaged game's mix.
+    """
+
+    def __init__(self, mixes, rng):
+        self.cdf = np.cumsum(mixes, axis=1)
+        self.cdf /= self.cdf[:, -1:]
         self.rng = rng
-        if sees_state:
-            self.mixes = np.stack([
-                solve_matrix_game(game.state_matrix(s)).strategy_b.rows[0]
-                for s in range(game.n_states)])
-        else:
-            self.mix = solve_matrix_game(game.averaged_matrix()).strategy_b.rows[0]
 
     def play_block(self, state_seq):
-        n = len(state_seq)
-        out = np.empty(n, dtype=np.int64)
-        for t in range(n):
-            p = self.mixes[state_seq[t]] if self.sees_state else self.mix
-            out[t] = self.rng.choice(p.size, p=p)
-        return out
+        # the same uniforms and inverse cdf as Generator.choice per position
+        u = self.rng.random(len(state_seq))
+        return (self.cdf[np.asarray(state_seq)] <= u[:, None]).sum(axis=1)
 
 
 def _best_response_to_joint(q_sa, payoff):
@@ -397,14 +438,12 @@ class ExactDecoderAdversary:
 
     def __init__(self, game, scheme, candidates, prior_logw, sees_state_seq):
         self.game = game
-        self.scheme = scheme
         self.cands = candidates  # (m, n)
         self.logw = np.array(prior_logw, dtype=float)
         self.sees_state_seq = sees_state_seq
         with np.errstate(divide="ignore"):
             self.log_pa = np.log(scheme.p_a_given_u.rows)  # (u, a)
         self.p_a_rows = scheme.p_a_given_u.rows
-        self.p_s_rows = None  # filled by caller for causal-state adversaries
 
     def _posterior(self):
         m = self.logw.max()
@@ -415,16 +454,14 @@ class ExactDecoderAdversary:
 
     def act(self, t, s_t, joint_sa, p_s_given_u):
         post = self._posterior()
-        payoff = self.game.payoff
         if post is None:
             # all candidates ruled out: fall back to the scheme's marginal play
             q = joint_sa.copy()
         else:
             u_t = self.cands[:, t]
-            pa = (post[:, None] * self.p_a_rows[u_t]).sum(axis=0)
             if self.sees_state_seq:
                 q = np.zeros_like(joint_sa)
-                q[s_t] = pa
+                q[s_t] = (post[:, None] * self.p_a_rows[u_t]).sum(axis=0)
             else:
                 q = np.einsum("i,is,ia->sa", post, p_s_given_u[u_t],
                               self.p_a_rows[u_t])
@@ -432,7 +469,7 @@ class ExactDecoderAdversary:
             mask = np.zeros_like(q)
             mask[s_t] = q[s_t] if q[s_t].sum() > 0 else joint_sa[s_t]
             q = mask
-        return _best_response_to_joint(q, payoff)
+        return _best_response_to_joint(q, self.game.payoff)
 
     def observe(self, t, s_t, a_t, log_ps_given_u):
         u_t = self.cands[:, t]
@@ -441,15 +478,11 @@ class ExactDecoderAdversary:
             self.logw = self.logw + log_ps_given_u[u_t, s_t]
 
     def decoded_true(self, true_idx):
-        if true_idx is None or not np.isfinite(self.logw.max()):
+        """Whether the true candidate alone has the highest posterior weight."""
+        if true_idx is None:
             return False
-        order = np.argsort(self.logw)
-        best = order[-1]
-        if best != true_idx:
-            return False
-        if len(self.logw) == 1:
-            return True
-        return self.logw[best] > self.logw[order[-2]]
+        top = self.logw[true_idx]
+        return bool(np.isfinite(top)) and np.count_nonzero(self.logw >= top) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +498,6 @@ class MatchConfig:
     b_knows_state: bool = True
     seed: int = 0
     codebook_cap: int = DEFAULT_CODEBOOK_CAP
-    box_cap: int = BOX_MATERIALIZE_CAP
     selection: str = "tilted"
 
     def __post_init__(self):
@@ -473,6 +505,8 @@ class MatchConfig:
             raise ContractViolationError("need n >= 1, trials >= 1, epsilon > 0")
         if self.adversary not in ADVERSARIES:
             raise ContractViolationError(f"unknown adversary {self.adversary!r}")
+        if self.selection not in SELECTIONS:
+            raise ContractViolationError(f"unknown selection rule {self.selection!r}")
 
 
 @dataclass(frozen=True)
@@ -496,7 +530,7 @@ class MatchResult:
 
 
 class _SchemeTables:
-    """Per-scheme log tables shared across trials."""
+    """Per-run values shared by every trial of a match."""
 
     def __init__(self, game: Game, scheme: Scheme):
         self.game = game
@@ -509,13 +543,45 @@ class _SchemeTables:
         self.p_a_given_s = np.divide(
             self.joint_sa, np.maximum(self.joint_sa.sum(axis=1, keepdims=True), 1e-300))
         self.p_s_given_u = scheme.p_s_given_u(game.prior).rows  # (u, s)
-        self.target_joint_us = _target_joint_us(game.prior, scheme)  # (u, s)
         with np.errstate(divide="ignore"):
             self.log_pa_u = np.log(scheme.p_a_given_u.rows)  # (u, a)
             self.log_ps_u = np.log(self.p_s_given_u)  # (u, s)
             self.log_tilt = _log_tilt_table(game.prior, scheme)  # (u, s)
-            self.log_pa_s = np.log(np.maximum(self.p_a_given_s, 1e-300))
-            self.log_joint_sa = np.log(np.maximum(self.joint_sa, 1e-300))
+        # B's best responses, indexed [informed, s] before decoding and
+        # [informed, s, u] once the codeword symbol u is known
+        ns, nu = self.prior.size, self.p_u.size
+        pa = scheme.p_a_given_u.rows
+        self.marginal_br = np.empty((2, ns), dtype=np.int64)
+        self.decoded_br = np.empty((2, ns, nu), dtype=np.int64)
+        self.marginal_br[0] = _best_response_to_joint(self.joint_sa, game.payoff)
+        self.decoded_br[0] = [_best_response_to_joint(
+            np.outer(self.p_s_given_u[u], pa[u]), game.payoff) for u in range(nu)]
+        for s in range(ns):
+            self.marginal_br[1, s] = self._state_response(s, self.p_a_given_s[s])
+            for u in range(nu):
+                self.decoded_br[1, s, u] = self._state_response(s, pa[u])
+
+    def _state_response(self, s, p_a):
+        q = np.zeros_like(self.joint_sa)
+        q[s] = p_a
+        return _best_response_to_joint(q, self.game.payoff)
+
+    @cached_property
+    def averaged_solution(self):
+        """Minimax solution of the game averaged over the prior."""
+        return solve_matrix_game(self.game.averaged_matrix())
+
+    @cached_property
+    def state_b_mixes(self):
+        """B's minimax mix in each state's matrix game, one row per state."""
+        return np.stack([solve_matrix_game(self.game.state_matrix(s)).strategy_b.rows[0]
+                         for s in range(self.prior.size)])
+
+    def oblivious_mixes(self, sees_state):
+        if sees_state:
+            return self.state_b_mixes
+        return np.tile(self.averaged_solution.strategy_b.rows[0],
+                       (self.prior.size, 1))
 
 
 def _empirical_target(tables, state_counts, n):
@@ -542,155 +608,63 @@ def _fallback_actions(tables, rng, n):
     return rng.choice(tables.p_a.size, size=n, p=tables.p_a)
 
 
-def _analytic_cells(tables, s_seq, a_seq, informed):
-    """Per-position competitor atom values: list over t of (values, logweights)."""
-    # cells keyed by (s, a) for the observed prefix and s alone for the suffix
-    nu = tables.p_u.size
-    with np.errstate(divide="ignore"):
-        log_pu = np.log(np.maximum(tables.p_u, 1e-300))
-    cells = {}
-    for s in range(tables.prior.size):
-        tilt = tables.log_tilt[:, s]
-        if informed:
-            cells[("suffix", s)] = (tilt.copy(), log_pu.copy())
-        for a in range(tables.p_a.size):
-            if informed:
-                vals = tilt + tables.log_pa_u[:, a]
-            else:
-                vals = tables.log_ps_u[:, s] + tables.log_pa_u[:, a]
-            cells[("prefix", s, a)] = (vals, log_pu.copy())
-    out = {}
-    for key, (vals, lw) in cells.items():
-        finite = np.isfinite(vals) & np.isfinite(lw)
-        out[key] = (vals[finite], lw[finite])
-    return out
+def _decoder_play(tables, adv, s_seq, a_seq, true_idx):
+    """B's actions and per-step decode indicators of an exact decoder."""
+    n = len(s_seq)
+    b_seq = np.empty(n, dtype=np.int64)
+    decode = np.zeros(n)
+    for t in range(n):
+        b_seq[t] = adv.act(t, s_seq[t], tables.joint_sa, tables.p_s_given_u)
+        adv.observe(t, s_seq[t], a_seq[t], tables.log_ps_u)
+        decode[t] = 1.0 if adv.decoded_true(true_idx) else 0.0
+    return b_seq, decode
 
 
-def _run_analytic_trial(tables, cfg, rate, rng, informed, selection):
-    """One trial where competitors are handled through count + tail bound."""
+def _run_exact_trial(tables, cfg, rate, rng, adversary):
+    """Full materialized-codebook trial."""
     game, scheme = tables.game, tables.scheme
     n = cfg.n
     s_seq = rng.choice(tables.prior.size, size=n, p=tables.prior)
-    state_counts = np.bincount(s_seq, minlength=tables.prior.size)
-    target = _empirical_target(tables, state_counts, n)
-    log_n_codewords = int(np.ceil(n * rate - 1e-12)) * _LOG2
-    log_ptyp = typicality_log_prob(state_counts, target, cfg.epsilon, tables.p_u)
-    log_lambda = log_n_codewords + log_ptyp
-    lam = np.exp(min(log_lambda, 700.0)) if np.isfinite(log_ptyp) else 0.0
-    # encoder fails when the Poisson(lambda) typical-set count is zero
-    if rng.random() < np.exp(-min(lam, 700.0)):
+    codebook = build_codebook(scheme, n, rate, int(rng.integers(1 << 62)),
+                              cap=cfg.codebook_cap, prior=tables.prior)
+    idx, log_w = _typical_codewords(codebook.sequences, s_seq, scheme, cfg.epsilon)
+    try:
+        true_idx = _select_codeword(idx, log_w, cfg.selection,
+                                    int(rng.integers(1 << 62)))
+    except EncoderFailure:
+        true_idx = None
+    failed = true_idx is None
+    if failed:
         a_seq = _fallback_actions(tables, rng, n)
-        b_seq = _marginal_responses(tables, s_seq, informed)
-        pay = _payoffs_for(game, s_seq, a_seq, b_seq)
-        return pay, np.zeros(n), True
-    symbol_laws = (scheme.p_u_given_s.rows if selection == "tilted"
-                   else np.tile(tables.p_u, (tables.prior.size, 1)))
-    u_true = _sample_box_codeword(rng, s_seq, state_counts, target,
-                                  cfg.epsilon, symbol_laws)
-    if u_true is None:
-        a_seq = _fallback_actions(tables, rng, n)
-        b_seq = _marginal_responses(tables, s_seq, informed)
-        pay = _payoffs_for(game, s_seq, a_seq, b_seq)
-        return pay, np.zeros(n), True
-    a_seq = decode_actions(u_true, scheme, rng.integers(1 << 62))
-
-    # true-codeword log weight per prefix length, for the decode tail bound
-    lik_steps = tables.log_pa_u[u_true, a_seq] if informed else \
-        tables.log_ps_u[u_true, s_seq] + tables.log_pa_u[u_true, a_seq]
-    lik_cum = np.concatenate([[0.0], np.cumsum(lik_steps)])
-    tilt_total = tables.log_tilt[u_true, s_seq].sum() if informed else 0.0
-
-    decode = _analytic_decode_curve(tables, cfg, s_seq, a_seq, u_true, informed,
-                                    tilt_total, lik_cum, log_n_codewords)
-    # Until the adversary has decoded, its posterior predictive is dominated
-    # by competitor codewords uncorrelated with the truth, so its play is a
-    # best response to the scheme marginal; once decoded it exploits the
-    # codeword.  Blend the two payoffs by the decode probability so far.
-    b_marg = _marginal_responses(tables, s_seq, informed)
-    b_dec = _decoded_responses(tables, s_seq, u_true, informed)
-    pay_marg = _payoffs_for(game, s_seq, a_seq, b_marg)
-    pay_dec = _payoffs_for(game, s_seq, a_seq, b_dec)
-    shift = np.concatenate([[0.0], decode[:-1]])
-    pay = (1.0 - shift) * pay_marg + shift * pay_dec
-    return pay, decode, False
+    else:
+        a_seq = decode_actions(codebook.sequences[true_idx], scheme,
+                               int(rng.integers(1 << 62)))
+    if adversary == "oblivious":
+        b_seq = ObliviousAdversary(tables.oblivious_mixes(cfg.b_knows_state),
+                                   rng).play_block(s_seq)
+        return _payoffs_for(game, s_seq, a_seq, b_seq), np.zeros(n), failed
+    informed = adversary == "decoder_with_state"
+    prior_logw = (_rule_prior(idx, log_w, cfg.selection) if informed
+                  else np.zeros(codebook.count))
+    adv = ExactDecoderAdversary(game, scheme, codebook.sequences, prior_logw,
+                                sees_state_seq=informed)
+    b_seq, decode = _decoder_play(tables, adv, s_seq, a_seq, true_idx)
+    return _payoffs_for(game, s_seq, a_seq, b_seq), decode, failed
 
 
-def _marginal_responses(tables, s_seq, informed):
-    """B's best responses given no codeword information."""
-    payoff = tables.game.payoff
-    if informed:
-        br = np.empty(tables.prior.size, dtype=np.int64)
-        for s in range(tables.prior.size):
-            q = np.zeros_like(tables.joint_sa)
-            q[s] = tables.p_a_given_s[s]
-            br[s] = _best_response_to_joint(q, payoff)
-        return br[s_seq]
-    b = _best_response_to_joint(tables.joint_sa, payoff)
-    return np.full(len(s_seq), b, dtype=np.int64)
+def _run_virtual_trial(tables, cfg, rate, rng, adversary):
+    """One trial against a codebook too large to materialize.
 
-
-def _decoded_responses(tables, s_seq, u_true, informed):
-    """B's best responses after identifying the codeword."""
-    payoff = tables.game.payoff
-    pa = tables.scheme.p_a_given_u.rows
-    if informed:
-        nu = tables.p_u.size
-        br = np.empty((tables.prior.size, nu), dtype=np.int64)
-        for s in range(tables.prior.size):
-            for u in range(nu):
-                q = np.zeros_like(tables.joint_sa)
-                q[s] = pa[u]
-                br[s, u] = _best_response_to_joint(q, payoff)
-        return br[s_seq, u_true]
-    br = np.array([_best_response_to_joint(
-        np.outer(tables.p_s_given_u[u], pa[u]), payoff)
-        for u in range(tables.p_u.size)], dtype=np.int64)
-    return br[u_true]
-
-
-def _analytic_decode_curve(tables, cfg, s_seq, a_seq, u_true, informed,
-                           tilt_total, lik_cum, log_n_codewords):
-    n = cfg.n
-    ns, na = tables.prior.size, tables.p_a.size
-    cells = _analytic_cells(tables, s_seq, a_seq, informed)
-    # fixed cell order: suffix cells (informed only) then prefix (s, a) cells
-    keys = ([("suffix", s) for s in range(ns)] if informed else []) \
-        + [("prefix", s, a) for s in range(ns) for a in range(na)]
-    tail = _CompetitorTail([cells[k][0] for k in keys],
-                           [cells[k][1] for k in keys])
-    index = {key: i for i, key in enumerate(keys)}
-    counts = np.zeros(len(keys))
-    if informed:
-        for s, m in enumerate(np.bincount(s_seq, minlength=ns)):
-            counts[index[("suffix", s)]] = m
-    decode = np.zeros(n)
-    for k in range(1, n + 1):
-        s_t, a_t = s_seq[k - 1], a_seq[k - 1]
-        counts[index[("prefix", s_t, a_t)]] += 1
-        if informed:
-            counts[index[("suffix", s_t)]] -= 1
-        log_beats = log_n_codewords + tail.log_tail(
-            counts, tilt_total + lik_cum[k])
-        decode[k - 1] = 0.0 if log_beats > 700 else np.exp(-np.exp(log_beats))
-    return decode
-
-
-def _materialize_box_members(tables, cfg, rng, s_seq, state_counts, target, m):
-    members = []
-    p_u_rows = np.tile(tables.p_u, (tables.prior.size, 1))
-    for _ in range(m):
-        cw = _sample_box_codeword(rng, s_seq, state_counts, target,
-                                  cfg.epsilon, p_u_rows)
-        if cw is None:
-            return None
-        members.append(cw)
-    return np.stack(members)
-
-
-def _run_conditional_exact_trial(tables, cfg, rate, rng, selection):
-    """Informed-adversary trial enumerating only the typical-set members."""
+    The typical-set size is a Poisson draw; the sent codeword is sampled from
+    its box law.  B then plays the oblivious mix; or, informed against the
+    deterministic "first" rule, the best response to the reproduced
+    codeword; or, informed against a typical set of at most
+    BOX_MATERIALIZE_CAP members, the exact decoder over sampled members; or
+    else the saddlepoint blend of `_analytic_payoffs`.
+    """
     game, scheme = tables.game, tables.scheme
-    n = cfg.n
+    n, selection = cfg.n, cfg.selection
+    informed = adversary == "decoder_with_state"
     s_seq = rng.choice(tables.prior.size, size=n, p=tables.prior)
     state_counts = np.bincount(s_seq, minlength=tables.prior.size)
     target = _empirical_target(tables, state_counts, n)
@@ -698,111 +672,103 @@ def _run_conditional_exact_trial(tables, cfg, rate, rng, selection):
     log_ptyp = typicality_log_prob(state_counts, target, cfg.epsilon, tables.p_u)
     lam = np.exp(min(log_n_codewords + log_ptyp, 700)) if np.isfinite(log_ptyp) else 0.0
     m = int(rng.poisson(min(lam, 1e9)))
-    if m == 0:
-        a_seq = _fallback_actions(tables, rng, n)
-        b_seq = _marginal_responses(tables, s_seq, True)
-        return _payoffs_for(game, s_seq, a_seq, b_seq), np.zeros(n), True
-    if selection == "first":
-        # the deterministic encoder always sends the lowest-index typical
-        # codeword, so a protocol-aware state-informed adversary reproduces
-        # the choice and knows the codeword before play starts
-        u_true = _sample_box_codeword(
-            rng, s_seq, state_counts, target, cfg.epsilon,
-            np.tile(tables.p_u, (tables.prior.size, 1)))
-        if u_true is None:
-            a_seq = _fallback_actions(tables, rng, n)
-            b_seq = _marginal_responses(tables, s_seq, True)
-            return _payoffs_for(game, s_seq, a_seq, b_seq), np.zeros(n), True
-        a_seq = decode_actions(u_true, scheme, rng.integers(1 << 62))
-        b_seq = _decoded_responses(tables, s_seq, u_true, True)
-        return _payoffs_for(game, s_seq, a_seq, b_seq), np.ones(n), False
-    if m > cfg.box_cap:
-        return None  # caller falls back to the analytic treatment
-    members = _materialize_box_members(tables, cfg, rng, s_seq, state_counts,
-                                       target, m)
-    if members is None:
-        a_seq = _fallback_actions(tables, rng, n)
-        b_seq = _marginal_responses(tables, s_seq, True)
-        return _payoffs_for(game, s_seq, a_seq, b_seq), np.zeros(n), True
-    tilt_w = tables.log_tilt[members, s_seq[None, :]].sum(axis=1)
-    if selection == "tilted":
-        w = np.exp(tilt_w - tilt_w.max())
-        true_idx = int(rng.choice(m, p=w / w.sum()))
-        prior_logw = tilt_w
-    elif selection == "uniform":
-        true_idx = int(rng.integers(m))
-        prior_logw = np.zeros(m)
-    else:  # first: deterministic encoder, protocol-aware adversary
-        true_idx = 0
-        prior_logw = np.full(m, _NEG_INF)
-        prior_logw[0] = 0.0
-    u_true = members[true_idx]
-    a_seq = decode_actions(u_true, scheme, rng.integers(1 << 62))
-    adv = ExactDecoderAdversary(game, scheme, members, prior_logw,
-                                sees_state_seq=True)
-    b_seq = np.empty(n, dtype=np.int64)
+    # members are plain codebook draws (p_U); a sent codeword drawn directly
+    # follows the selection rule's law given the box
+    enumerate_members = (informed and selection != "first"
+                         and m <= BOX_MATERIALIZE_CAP)
+    p_u_laws = np.tile(tables.p_u, (tables.prior.size, 1))
+    laws = (scheme.p_u_given_s.rows if selection == "tilted" and not enumerate_members
+            else p_u_laws)
+    boxes = _state_boxes(state_counts, target, cfg.epsilon, laws)[0] if m else None
+    u_true = members = None
+    if boxes is not None and enumerate_members:
+        members = np.stack([_draw_box_codeword(rng, s_seq, boxes)
+                            for _ in range(m)])
+        tilt_w = tables.log_tilt[members, s_seq[None, :]].sum(axis=1)
+        if selection == "tilted":
+            w = np.exp(tilt_w - tilt_w.max())
+            true_idx = int(rng.choice(m, p=w / w.sum()))
+        else:
+            true_idx = int(rng.integers(m))
+        u_true = members[true_idx]
+    elif boxes is not None:
+        u_true = _draw_box_codeword(rng, s_seq, boxes)
+
+    failed = u_true is None
     decode = np.zeros(n)
-    for t in range(n):
-        b_seq[t] = adv.act(t, s_seq[t], tables.joint_sa, tables.p_s_given_u)
-        adv.observe(t, s_seq[t], a_seq[t], tables.log_ps_u)
-        decode[t] = 1.0 if adv.decoded_true(true_idx) else 0.0
-    return _payoffs_for(game, s_seq, a_seq, b_seq), decode, False
-
-
-def _run_exact_trial(tables, cfg, rate, rng, selection, adversary):
-    """Full materialized-codebook trial."""
-    game, scheme = tables.game, tables.scheme
-    n = cfg.n
-    s_seq = rng.choice(tables.prior.size, size=n, p=tables.prior)
-    codebook = build_codebook(scheme, n, rate, int(rng.integers(1 << 62)),
-                              cap=cfg.codebook_cap, prior=tables.prior)
-    try:
-        true_idx = encode(codebook, s_seq, scheme, cfg.epsilon,
-                          int(rng.integers(1 << 62)), selection=selection)
-        failed = False
-    except EncoderFailure:
-        true_idx, failed = None, True
     if failed:
         a_seq = _fallback_actions(tables, rng, n)
     else:
-        a_seq = decode_actions(codebook.sequences[true_idx], scheme,
-                               int(rng.integers(1 << 62)))
+        a_seq = decode_actions(u_true, scheme, rng.integers(1 << 62))
     if adversary == "oblivious":
-        obl = ObliviousAdversary(game, cfg.b_knows_state, rng)
-        b_seq = obl.play_block(s_seq)
-        return _payoffs_for(game, s_seq, a_seq, b_seq), np.zeros(n), failed
-    informed = adversary == "decoder_with_state"
-    if informed:
-        emp_prior = np.bincount(s_seq, minlength=tables.prior.size) / n
-        log_tilt = _log_tilt_table(emp_prior, scheme)
-        tilt_w = log_tilt[codebook.sequences, s_seq[None, :]].sum(axis=1)
-        target = _target_joint_us(emp_prior, scheme)
-        flat = codebook.sequences * tables.prior.size + s_seq[None, :]
-        counts = np.apply_along_axis(np.bincount, 1, flat,
-                                     minlength=scheme.card_u * tables.prior.size)
-        counts = counts.reshape(codebook.count, scheme.card_u, tables.prior.size)
-        typical = np.max(np.abs(counts / n - target[None]), axis=(1, 2)) \
-            <= cfg.epsilon + 1e-12
-        if selection == "tilted":
-            prior_logw = np.where(typical, tilt_w, _NEG_INF)
-        elif selection == "uniform":
-            prior_logw = np.where(typical, 0.0, _NEG_INF)
-        else:  # first
-            prior_logw = np.full(codebook.count, _NEG_INF)
-            idx = np.flatnonzero(typical)
-            if idx.size:
-                prior_logw[idx[0]] = 0.0
+        b_seq = ObliviousAdversary(tables.oblivious_mixes(cfg.b_knows_state),
+                                   rng).play_block(s_seq)
+    elif failed:
+        b_seq = tables.marginal_br[int(informed), s_seq]
+    elif informed and selection == "first":
+        # the deterministic encoder always sends the lowest-index typical
+        # codeword, so a protocol-aware state-informed adversary reproduces
+        # the choice and knows the codeword before play starts
+        b_seq = tables.decoded_br[1, s_seq, u_true]
+        decode[:] = 1.0
+    elif members is not None:
+        prior_logw = _rule_prior(np.arange(m), tilt_w, selection)
+        adv = ExactDecoderAdversary(game, scheme, members, prior_logw,
+                                    sees_state_seq=True)
+        b_seq, decode = _decoder_play(tables, adv, s_seq, a_seq, true_idx)
     else:
-        prior_logw = np.zeros(codebook.count)
-    adv = ExactDecoderAdversary(game, scheme, codebook.sequences, prior_logw,
-                                sees_state_seq=informed)
-    b_seq = np.empty(n, dtype=np.int64)
-    decode = np.zeros(n)
-    for t in range(n):
-        b_seq[t] = adv.act(t, s_seq[t], tables.joint_sa, tables.p_s_given_u)
-        adv.observe(t, s_seq[t], a_seq[t], tables.log_ps_u)
-        decode[t] = 1.0 if (not failed and adv.decoded_true(true_idx)) else 0.0
+        pay, decode = _analytic_payoffs(tables, s_seq, a_seq, u_true, informed,
+                                        log_n_codewords)
+        return pay, decode, failed
     return _payoffs_for(game, s_seq, a_seq, b_seq), decode, failed
+
+
+def _analytic_payoffs(tables, s_seq, a_seq, u_true, informed, log_n_codewords):
+    """Per-step payoffs and decode probabilities against competitor counts.
+
+    A competitor codeword's log weight is a sum of independent per-position
+    atoms: cells keyed by (s, a) over the observed prefix and, for an
+    informed adversary, by s alone over the unobserved suffix.  The decode
+    probability after k steps approximates P(no competitor outweighs the
+    true codeword) through the saddlepoint tail of `_CompetitorTail`.
+    """
+    n = len(s_seq)
+    ns, na = tables.prior.size, tables.p_a.size
+    log_pu = np.log(np.maximum(tables.p_u, 1e-300))
+    # fixed cell order: suffix cells s (informed only), then prefix (s, a)
+    prefix = tables.log_tilt if informed else tables.log_ps_u  # (u, s)
+    values = ([tables.log_tilt[:, s] for s in range(ns)] if informed else []) \
+        + [prefix[:, s] + tables.log_pa_u[:, a] for s in range(ns) for a in range(na)]
+    finite = [np.isfinite(v) for v in values]
+    tail = _CompetitorTail([v[f] for v, f in zip(values, finite)],
+                           [log_pu[f] for f in finite])
+    offset = ns if informed else 0
+    counts = np.zeros(len(values))
+    if informed:
+        counts[:ns] = np.bincount(s_seq, minlength=ns)
+    # the true codeword's log weight after each prefix length
+    lik_steps = tables.log_pa_u[u_true, a_seq] if informed else \
+        tables.log_ps_u[u_true, s_seq] + tables.log_pa_u[u_true, a_seq]
+    lik_cum = np.cumsum(lik_steps)
+    tilt_total = tables.log_tilt[u_true, s_seq].sum() if informed else 0.0
+    decode = np.zeros(n)
+    for k in range(n):
+        counts[offset + s_seq[k] * na + a_seq[k]] += 1
+        if informed:
+            counts[s_seq[k]] -= 1
+        log_beats = log_n_codewords + tail.log_tail(counts, tilt_total + lik_cum[k])
+        decode[k] = 0.0 if log_beats > 700 else np.exp(-np.exp(log_beats))
+    # A modelling step, not a derivation: until the adversary has decoded,
+    # its posterior predictive is dominated by competitor codewords
+    # uncorrelated with the truth, so it best-responds to the scheme
+    # marginal; once decoded it exploits the codeword.  The two payoffs are
+    # blended by the decode probability after the previous step.
+    pay_marg = _payoffs_for(tables.game, s_seq, a_seq,
+                            tables.marginal_br[int(informed), s_seq])
+    pay_dec = _payoffs_for(tables.game, s_seq, a_seq,
+                           tables.decoded_br[int(informed), s_seq, u_true])
+    shift = np.concatenate([[0.0], decode[:-1]])
+    return (1.0 - shift) * pay_marg + shift * pay_dec, decode
 
 
 def adversary_play(model: str, past_states, past_actions, codebook: Codebook,
@@ -811,35 +777,31 @@ def adversary_play(model: str, past_states, past_actions, codebook: Codebook,
                    selection: str = "tilted", seed: int = 0):
     """One adversary action at `iteration` given the visible history.
 
-    Stateless convenience wrapper over the Bayesian decoder machinery: the
-    posterior is recomputed from the full history each call.  `state_seq`
-    supplies the whole block for the state-aware model; the plain decoder sees
-    only past states causally.
+    Stateless convenience wrapper over the adversaries of the materialized
+    trial: the posterior is recomputed from the full history each call.
+    `state_seq` supplies the whole block for the state-aware model, whose
+    prior is the encoder's typical set at the empirical state type weighted
+    by the selection rule ("first" is reproduced exactly); the plain decoder
+    sees only past states causally.
     """
     if model not in ADVERSARIES:
         raise ContractViolationError(f"unknown adversary {model!r}")
+    if selection not in SELECTIONS:
+        raise ContractViolationError(f"unknown selection rule {selection!r}")
     tables = _SchemeTables(game, scheme)
-    rng = np.random.default_rng(seed)
     if model == "oblivious":
-        obl = ObliviousAdversary(game, state_seq is not None, rng)
-        if state_seq is not None:
-            return obl.play_block(np.asarray(state_seq)[iteration:iteration + 1])[0]
-        mix = obl.mix
-        return int(rng.choice(mix.size, p=mix))
+        sees_state = state_seq is not None
+        s_t = int(state_seq[iteration]) if sees_state else 0
+        obl = ObliviousAdversary(tables.oblivious_mixes(sees_state),
+                                 np.random.default_rng(seed))
+        return int(obl.play_block([s_t])[0])
     informed = model == "decoder_with_state"
     if informed and state_seq is None:
         raise ContractViolationError("decoder_with_state needs the full state sequence")
     if informed:
-        s_full = np.asarray(state_seq)
-        tilt_w = tables.log_tilt[codebook.sequences, s_full[None, :]].sum(axis=1)
-        flat = codebook.sequences * tables.prior.size + s_full[None, :]
-        counts = np.apply_along_axis(np.bincount, 1, flat,
-                                     minlength=scheme.card_u * tables.prior.size)
-        counts = counts.reshape(codebook.count, scheme.card_u, tables.prior.size)
-        typical = np.max(np.abs(counts / codebook.n - tables.target_joint_us[None]),
-                         axis=(1, 2)) <= epsilon + 1e-12
-        prior_logw = np.where(typical, tilt_w if selection == "tilted" else 0.0,
-                              _NEG_INF)
+        idx, log_w = _typical_codewords(codebook.sequences, np.asarray(state_seq),
+                                        scheme, epsilon)
+        prior_logw = _rule_prior(idx, log_w, selection)
     else:
         prior_logw = np.zeros(codebook.count)
     adv = ExactDecoderAdversary(game, scheme, codebook.sequences, prior_logw,
@@ -863,31 +825,14 @@ def run_match(game: Game, scheme: Scheme, rate: float, config: MatchConfig
     adversary = config.adversary
     if adversary == "decoder" and config.b_knows_state:
         adversary = "decoder_with_state"
-    count = codeword_count(n, rate)
-    exact = count * n <= config.codebook_cap
+    exact = codeword_count(n, rate) * n <= config.codebook_cap
+    run_trial = _run_exact_trial if exact else _run_virtual_trial
     pay_sum = np.zeros(n)
     dec_sum = np.zeros(n)
     failures = 0
     for trial in range(trials):
-        rng = _trial_rng(config.seed, trial)
-        if exact:
-            pay, dec, failed = _run_exact_trial(tables, config, rate, rng,
-                                                config.selection, adversary)
-        elif adversary == "decoder_with_state":
-            out = _run_conditional_exact_trial(tables, config, rate, rng,
-                                               config.selection)
-            if out is None:
-                rng = _trial_rng(config.seed, trial)  # replay with same stream
-                pay, dec, failed = _run_analytic_trial(
-                    tables, config, rate, rng, True, config.selection)
-            else:
-                pay, dec, failed = out
-        elif adversary == "oblivious":
-            pay, dec, failed = _run_virtual_oblivious_trial(
-                tables, config, rate, rng, config.selection)
-        else:
-            pay, dec, failed = _run_analytic_trial(tables, config, rate, rng,
-                                                   False, config.selection)
+        pay, dec, failed = run_trial(tables, config, rate,
+                                     _trial_rng(config.seed, trial), adversary)
         pay_sum += pay
         dec_sum += dec
         failures += int(failed)
@@ -898,32 +843,6 @@ def run_match(game: Game, scheme: Scheme, rate: float, config: MatchConfig
         encoder_failure_rate=failures / trials,
         mean_payoff=float(per_iter.mean()),
     )
-
-
-def _run_virtual_oblivious_trial(tables, cfg, rate, rng, selection):
-    game, scheme = tables.game, tables.scheme
-    n = cfg.n
-    s_seq = rng.choice(tables.prior.size, size=n, p=tables.prior)
-    state_counts = np.bincount(s_seq, minlength=tables.prior.size)
-    target = _empirical_target(tables, state_counts, n)
-    log_n_codewords = int(np.ceil(n * rate - 1e-12)) * _LOG2
-    log_ptyp = typicality_log_prob(state_counts, target, cfg.epsilon, tables.p_u)
-    lam = np.exp(min(log_n_codewords + log_ptyp, 700)) if np.isfinite(log_ptyp) else 0.0
-    failed = rng.poisson(min(lam, 1e9)) == 0
-    if failed:
-        a_seq = _fallback_actions(tables, rng, n)
-    else:
-        laws = (scheme.p_u_given_s.rows if selection == "tilted"
-                else np.tile(tables.p_u, (tables.prior.size, 1)))
-        u_true = _sample_box_codeword(rng, s_seq, state_counts, target,
-                                      cfg.epsilon, laws)
-        if u_true is None:
-            a_seq, failed = _fallback_actions(tables, rng, n), True
-        else:
-            a_seq = decode_actions(u_true, scheme, rng.integers(1 << 62))
-    obl = ObliviousAdversary(game, cfg.b_knows_state, rng)
-    b_seq = obl.play_block(s_seq)
-    return _payoffs_for(game, s_seq, a_seq, b_seq), np.zeros(n), failed
 
 
 def optimal_state_strategy(game: Game):
