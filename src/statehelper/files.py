@@ -13,10 +13,8 @@ import numpy as np
 import yaml
 
 from .errors import GameFileError
-from .game_core import ConditionalDistribution, Game
+from .game_core import DEFAULT_NEG_INF, ConditionalDistribution, Game
 from .rate_value import LayeredScheme, Scheme
-
-DEFAULT_NEG_INF_VALUE = -1e6
 
 
 def _load_document(text):
@@ -62,7 +60,7 @@ def parse_game(text: str) -> Game:
     actions_b = tuple(str(x) for x in _require(doc, "actions_b", list, "game file"))
     prior = _require(doc, "prior", list, "game file")
     payoffs = _require(doc, "payoffs", list, "game file")
-    neg_inf_value = float(doc.get("neg_inf_value", DEFAULT_NEG_INF_VALUE))
+    neg_inf_value = float(doc.get("neg_inf_value", DEFAULT_NEG_INF))
     ns, na, nb = len(states), len(actions_a), len(actions_b)
     if len(prior) != ns:
         raise GameFileError(f"prior has {len(prior)} entries for {ns} states")

@@ -87,8 +87,14 @@ def build_codebook(scheme: Scheme, n: int, rate: float, seed: int,
 
 
 def _typical_cells(counts, n, target, epsilon):
-    """Per-cell typicality of (u, s) counts over a block of length n."""
-    return np.abs(counts / n - target) <= epsilon + 1e-12
+    """Per-cell strong typicality of (u, s) counts over a block of length n.
+
+    A cell passes when its frequency is within epsilon of the target and it
+    is empty wherever the target is 0 (the strong-typicality box of Csiszar
+    and Koerner), so no pair of probability zero is ever typical.
+    """
+    return ((np.abs(counts / n - target) <= epsilon + 1e-12)
+            & ((counts == 0) | (target > 0)))
 
 
 def _typical_set(sequences, state_seq, target_joint, epsilon):
@@ -110,8 +116,7 @@ def _typical_set(sequences, state_seq, target_joint, epsilon):
 
 
 def joint_type_counts(u_seq, s_seq, card_u, n_states):
-    """Empirical joint counts over (u, s) pairs."""
-    # the counts do not depend on the target handed to the kernel
+    """Empirical joint counts over (u, s) pairs (the kernel's target is moot)."""
     return _typical_set(u_seq, s_seq, np.zeros((card_u, n_states)), 0.0)[0][0]
 
 
@@ -124,9 +129,15 @@ class EncoderFailure(Exception):
     """No codeword jointly typical with the state sequence."""
 
 
-def _target_joint_us(game_prior, scheme):
-    # (u, s): prior(s) p(u|s)
-    return (scheme.p_u_given_s.rows * np.asarray(game_prior)[:, None]).T
+def _target_joint_us(state_type, scheme):
+    """Typicality target p_hat(s) p(u|s), indexed (u, s), at a state type.
+
+    Centering on the realized (empirical) state type rather than the design
+    prior keeps the per-state count boxes nonempty for every realized state
+    sequence, so encoder failures reflect covering (rate vs I(U;S)) rather
+    than ordinary binomial drift of the state frequencies.
+    """
+    return (scheme.p_u_given_s.rows * np.asarray(state_type)[:, None]).T
 
 
 def _typical_codewords(sequences, state_seq, scheme, epsilon):
@@ -156,11 +167,8 @@ def _select_codeword(idx, log_w, selection, seed):
         return int(rng.choice(idx))
     if selection != "tilted":
         raise ContractViolationError(f"unknown selection rule {selection!r}")
-    w = log_w[idx]
-    m = w.max()
-    if not np.isfinite(m):
-        return int(rng.choice(idx))
-    w = np.exp(w - m)
+    # finite: a typical codeword pairs no symbol with a state it has p(u|s) = 0
+    w = np.exp(log_w[idx] - log_w[idx].max())
     return int(rng.choice(idx, p=w / w.sum()))
 
 
@@ -220,23 +228,21 @@ def _box_vectors(n_s, n, p_col, epsilon):
     card = p_col.size
     lo = np.maximum(np.ceil((p_col - epsilon) * n - 1e-9).astype(int), 0)
     hi = np.minimum(np.floor((p_col + epsilon) * n + 1e-9).astype(int), n_s)
-    if np.any(lo > hi):
-        return np.zeros((0, card), dtype=int)
-    heads = np.array(list(itertools.product(
-        *(range(lo[i], hi[i] + 1) for i in range(card - 1)))), dtype=int)
-    vecs = np.column_stack([heads.reshape(-1, card - 1),
-                            n_s - heads.reshape(-1, card - 1).sum(axis=1)])
-    return vecs[_typical_cells(vecs, n, p_col, epsilon).all(axis=1)]
+    hi[p_col <= 0] = 0
+    heads = list(itertools.product(*(range(lo[i], hi[i] + 1)
+                                     for i in range(card - 1))))
+    heads = np.array(heads, dtype=int).reshape(len(heads), card - 1)
+    vecs = np.column_stack([heads, n_s - heads.sum(axis=1)])
+    inside = (lo <= vecs) & (vecs <= hi) & _typical_cells(vecs, n, p_col, epsilon)
+    return vecs[inside.all(axis=1)]
 
 
 def _log_multinomial_pmf(vectors, n_s, p):
     with np.errstate(divide="ignore"):
-        logp = np.where(p > 0, np.log(np.maximum(p, 1e-300)), _NEG_INF)
-    bad = (vectors[:, p <= 0].sum(axis=1) > 0) if np.any(p <= 0) else \
-        np.zeros(len(vectors), dtype=bool)
+        logp = np.where(p > 0, np.log(np.maximum(p, 1e-300)), 0.0)
     ll = (gammaln(n_s + 1) - gammaln(vectors + 1).sum(axis=1)
-          + (vectors * np.where(np.isfinite(logp), logp, 0.0)[None, :]).sum(axis=1))
-    ll[bad] = _NEG_INF
+          + (vectors * logp[None, :]).sum(axis=1))
+    ll[(vectors[:, p <= 0] > 0).any(axis=1)] = _NEG_INF
     return ll
 
 
@@ -275,8 +281,15 @@ def typicality_log_prob(state_counts, target_joint, epsilon, p_u):
     return _state_boxes(state_counts, target_joint, epsilon, laws)[1]
 
 
-def _draw_box_codeword(rng, state_seq, boxes):
-    """One codeword: a box vector per state, its symbols shuffled into place."""
+def _sample_box_codeword(rng, state_seq, boxes):
+    """Sample a codeword from i.i.d. per-state symbol laws conditioned on the box.
+
+    `boxes` comes from `_state_boxes`: a box vector is drawn per state and
+    its symbols are shuffled into that state's positions.  Returns None when
+    the boxes are None (some box is empty or has zero mass under its law).
+    """
+    if boxes is None:
+        return None
     out = np.empty(len(state_seq), dtype=np.int16)
     for s, (vecs, p) in enumerate(boxes):
         vec = vecs[rng.choice(len(vecs), p=p)]
@@ -284,19 +297,6 @@ def _draw_box_codeword(rng, state_seq, boxes):
         rng.shuffle(symbols)
         out[state_seq == s] = symbols
     return out
-
-
-def _sample_box_codeword(rng, state_seq, state_counts, target_joint, epsilon,
-                         symbol_dist_per_state):
-    """Sample a codeword from i.i.d. per-state symbol laws conditioned on the box.
-
-    symbol_dist_per_state[s] is the per-symbol pmf used in state s (p_U for a
-    plain codebook member, p(u|s) for the tilted/true codeword).  Returns None
-    if some box is empty or has zero mass under the law.
-    """
-    boxes, _ = _state_boxes(state_counts, target_joint, epsilon,
-                            symbol_dist_per_state)
-    return None if boxes is None else _draw_box_codeword(rng, state_seq, boxes)
 
 
 # ---------------------------------------------------------------------------
@@ -536,10 +536,8 @@ class _SchemeTables:
         self.game = game
         self.scheme = scheme
         self.prior = game.prior
-        self.joint = scheme.joint(game.prior).mass  # (s, u, a)
-        self.joint_sa = self.joint.sum(axis=1)  # (s, a)
+        self.joint_sa = scheme.joint(game.prior).mass.sum(axis=1)  # (s, a)
         self.p_u = scheme.p_u(game.prior)
-        self.p_a = self.joint_sa.sum(axis=0)
         self.p_a_given_s = np.divide(
             self.joint_sa, np.maximum(self.joint_sa.sum(axis=1, keepdims=True), 1e-300))
         self.p_s_given_u = scheme.p_s_given_u(game.prior).rows  # (u, s)
@@ -584,18 +582,6 @@ class _SchemeTables:
                        (self.prior.size, 1))
 
 
-def _empirical_target(tables, state_counts, n):
-    """Typicality target p_hat(s) p(u|s) centered on the realized state type.
-
-    Centering on the empirical type rather than the design prior keeps the
-    per-state count boxes nonempty for every realized state sequence, so
-    encoder failures reflect covering (rate vs I(U;S)) rather than ordinary
-    binomial drift of the state frequencies.
-    """
-    emp = state_counts / n
-    return (tables.scheme.p_u_given_s.rows * emp[:, None]).T
-
-
 def _trial_rng(master_seed, trial):
     return np.random.default_rng([int(master_seed), int(trial)])
 
@@ -605,7 +591,10 @@ def _payoffs_for(game, s_seq, a_seq, b_seq):
 
 
 def _fallback_actions(tables, rng, n):
-    return rng.choice(tables.p_a.size, size=n, p=tables.p_a)
+    """A's play after an encoder failure, which leaves it blind to the states:
+    the minimax mix of the prior-averaged game."""
+    mix = tables.averaged_solution.strategy_a.rows[0]
+    return rng.choice(mix.size, size=n, p=mix)
 
 
 def _decoder_play(tables, adv, s_seq, a_seq, true_idx):
@@ -616,7 +605,7 @@ def _decoder_play(tables, adv, s_seq, a_seq, true_idx):
     for t in range(n):
         b_seq[t] = adv.act(t, s_seq[t], tables.joint_sa, tables.p_s_given_u)
         adv.observe(t, s_seq[t], a_seq[t], tables.log_ps_u)
-        decode[t] = 1.0 if adv.decoded_true(true_idx) else 0.0
+        decode[t] = adv.decoded_true(true_idx)
     return b_seq, decode
 
 
@@ -667,7 +656,7 @@ def _run_virtual_trial(tables, cfg, rate, rng, adversary):
     informed = adversary == "decoder_with_state"
     s_seq = rng.choice(tables.prior.size, size=n, p=tables.prior)
     state_counts = np.bincount(s_seq, minlength=tables.prior.size)
-    target = _empirical_target(tables, state_counts, n)
+    target = _target_joint_us(state_counts / n, scheme)
     log_n_codewords = int(np.ceil(n * rate - 1e-12)) * _LOG2
     log_ptyp = typicality_log_prob(state_counts, target, cfg.epsilon, tables.p_u)
     lam = np.exp(min(log_n_codewords + log_ptyp, 700)) if np.isfinite(log_ptyp) else 0.0
@@ -676,24 +665,20 @@ def _run_virtual_trial(tables, cfg, rate, rng, adversary):
     # follows the selection rule's law given the box
     enumerate_members = (informed and selection != "first"
                          and m <= BOX_MATERIALIZE_CAP)
-    p_u_laws = np.tile(tables.p_u, (tables.prior.size, 1))
     laws = (scheme.p_u_given_s.rows if selection == "tilted" and not enumerate_members
-            else p_u_laws)
+            else np.tile(tables.p_u, (tables.prior.size, 1)))
     boxes = _state_boxes(state_counts, target, cfg.epsilon, laws)[0] if m else None
-    u_true = members = None
+    members = None
     if boxes is not None and enumerate_members:
-        members = np.stack([_draw_box_codeword(rng, s_seq, boxes)
+        # every member is typical: the encoder and the adversary's prior
+        # treat them exactly as the materialized trial treats its codebook
+        members = np.stack([_sample_box_codeword(rng, s_seq, boxes)
                             for _ in range(m)])
-        tilt_w = tables.log_tilt[members, s_seq[None, :]].sum(axis=1)
-        if selection == "tilted":
-            w = np.exp(tilt_w - tilt_w.max())
-            true_idx = int(rng.choice(m, p=w / w.sum()))
-        else:
-            true_idx = int(rng.integers(m))
+        idx, log_w = _typical_codewords(members, s_seq, scheme, cfg.epsilon)
+        true_idx = _select_codeword(idx, log_w, selection, int(rng.integers(1 << 62)))
         u_true = members[true_idx]
-    elif boxes is not None:
-        u_true = _draw_box_codeword(rng, s_seq, boxes)
-
+    else:
+        u_true = _sample_box_codeword(rng, s_seq, boxes)
     failed = u_true is None
     decode = np.zeros(n)
     if failed:
@@ -712,8 +697,8 @@ def _run_virtual_trial(tables, cfg, rate, rng, adversary):
         b_seq = tables.decoded_br[1, s_seq, u_true]
         decode[:] = 1.0
     elif members is not None:
-        prior_logw = _rule_prior(np.arange(m), tilt_w, selection)
-        adv = ExactDecoderAdversary(game, scheme, members, prior_logw,
+        adv = ExactDecoderAdversary(game, scheme, members,
+                                    _rule_prior(idx, log_w, selection),
                                     sees_state_seq=True)
         b_seq, decode = _decoder_play(tables, adv, s_seq, a_seq, true_idx)
     else:
@@ -733,7 +718,7 @@ def _analytic_payoffs(tables, s_seq, a_seq, u_true, informed, log_n_codewords):
     true codeword) through the saddlepoint tail of `_CompetitorTail`.
     """
     n = len(s_seq)
-    ns, na = tables.prior.size, tables.p_a.size
+    ns, na = tables.joint_sa.shape
     log_pu = np.log(np.maximum(tables.p_u, 1e-300))
     # fixed cell order: suffix cells s (informed only), then prefix (s, a)
     prefix = tables.log_tilt if informed else tables.log_ps_u  # (u, s)
@@ -786,8 +771,6 @@ def adversary_play(model: str, past_states, past_actions, codebook: Codebook,
     """
     if model not in ADVERSARIES:
         raise ContractViolationError(f"unknown adversary {model!r}")
-    if selection not in SELECTIONS:
-        raise ContractViolationError(f"unknown selection rule {selection!r}")
     tables = _SchemeTables(game, scheme)
     if model == "oblivious":
         sees_state = state_seq is not None

@@ -254,3 +254,58 @@ def test_match_result_csv_format(erasure_game, optimal_scheme):
     assert len(lines) == 7
     assert lines[1].startswith("1,")
     assert lines[-1].startswith("6,")
+
+
+def test_encoder_failure_falls_back_to_blind_minimax(erasure_game, optimal_scheme):
+    """A failed encoder leaves A state-blind, so it never plays forbidden actions."""
+    cfg = MatchConfig(n=12, trials=40, adversary="decoder", b_knows_state=False)
+    result = run_match(erasure_game, optimal_scheme, 0.9, cfg)
+    assert result.encoder_failure_rate > 0  # the fallback is exercised
+    assert result.per_iteration_payoff.min() > -1
+
+
+def test_all_failed_trials_earn_the_no_information_value(erasure_game,
+                                                         optimal_scheme):
+    """Below the covering rate every trial falls back to the blind game's value."""
+    from statehelper import SignalFunction, game_value
+    n = 256
+    cfg = MatchConfig(n=n, trials=40, adversary="oblivious",
+                      b_knows_state=False, epsilon=0.02, seed=0)
+    result = run_match(erasure_game, optimal_scheme, 0.25, cfg)
+    assert result.encoder_failure_rate >= 0.9
+    value = game_value(erasure_game, SignalFunction.constant(2),
+                       SignalFunction.constant(2)).value
+    sigma = result.per_iteration_payoff.std(ddof=1) / np.sqrt(n)
+    assert abs(result.mean_payoff - value) <= 4 * sigma
+
+
+def test_deterministic_baseline_plays_no_forbidden_pair(erasure_game):
+    """Strong typicality keeps p(a|s) = 0 pairs out of every codeword."""
+    result = deterministic_baseline(erasure_game, rate=0.5, n=64, trials=2000,
+                                    seed=0)
+    assert result.per_iteration_payoff.min() > -1
+
+
+def test_adversary_play_reproduces_the_first_rule(erasure_game, optimal_scheme):
+    """Against "first", the informed adversary knows the codeword from the start."""
+    pa = optimal_scheme.p_a_given_u.rows
+    calls = 0
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        s_seq = rng.integers(0, 2, size=12)
+        book = build_codebook(optimal_scheme, n=12, rate=0.8, seed=seed)
+        try:
+            idx = encode(book, s_seq, optimal_scheme, 0.05, seed,
+                         selection="first")
+        except EncoderFailure:
+            continue
+        u_seq = book.sequences[idx]
+        a_seq = decode_actions(u_seq, optimal_scheme, seed)
+        for t in range(12):
+            b = adversary_play("decoder_with_state", s_seq[:t], a_seq[:t], book,
+                               optimal_scheme, erasure_game, t, state_seq=s_seq,
+                               selection="first")
+            best = int(np.argmin(pa[u_seq[t]] @ erasure_game.payoff[:, :, s_seq[t]]))
+            assert b == best, (seed, t)
+            calls += 1
+    assert calls >= 600

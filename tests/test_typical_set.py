@@ -1,0 +1,105 @@
+"""Property tests of the simulator's typical-set kernel and box sampling."""
+
+import itertools
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from statehelper.simulator import (
+    _sample_box_codeword,
+    _state_boxes,
+    _typical_set,
+    typicality_log_prob,
+)
+
+SETTINGS = settings(max_examples=100, deadline=None)
+
+
+def _pmf(weights):
+    weights = np.asarray(weights, dtype=float)
+    return weights / weights.sum()
+
+
+@st.composite
+def blocks(draw, max_n):
+    """A state sequence, an empirical target p_hat(s) p(u|s) with zero cells,
+    p(u|s) itself and an i.i.d. symbol law p_U that may have zero entries."""
+    n = draw(st.integers(1, max_n))
+    card_u = draw(st.integers(1, 3))
+    ns = draw(st.integers(1, 3))
+    s_seq = np.array(draw(st.lists(st.integers(0, ns - 1), min_size=n, max_size=n)))
+    row = st.lists(st.integers(0, 3), min_size=card_u, max_size=card_u).filter(any)
+    p_u_given_s = np.stack([_pmf(draw(row)) for _ in range(ns)])
+    p_u = _pmf(draw(row))
+    target = (p_u_given_s * (np.bincount(s_seq, minlength=ns) / n)[:, None]).T
+    return s_seq, target, p_u_given_s, p_u
+
+
+def _naive_counts(seqs, s_seq, card_u, ns):
+    counts = np.zeros((len(seqs), card_u, ns), dtype=int)
+    for i, row in enumerate(seqs):
+        for u, s in zip(row, s_seq):
+            counts[i, u, s] += 1
+    return counts
+
+
+@SETTINGS
+@given(st.integers(1, 12), st.integers(1, 20), st.integers(1, 4),
+       st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_kernel_counts_match_naive_count(rows, n, card_u, ns, seed):
+    rng = np.random.default_rng(seed)
+    seqs = rng.integers(0, card_u, size=(rows, n)).astype(np.int16)
+    s_seq = rng.integers(0, ns, size=n)
+    counts, _ = _typical_set(seqs, s_seq, np.zeros((card_u, ns)), 0.1)
+    assert np.array_equal(counts, _naive_counts(seqs, s_seq, card_u, ns))
+
+
+@SETTINGS
+@given(blocks(max_n=7), st.floats(0.01, 0.6))
+def test_typicality_log_prob_matches_enumeration(block, epsilon):
+    s_seq, target, _, p_u = block
+    card_u, ns = target.shape
+    seqs = np.array(list(itertools.product(range(card_u), repeat=len(s_seq))))
+    prob = np.prod(p_u[seqs], axis=1)
+    _, typical = _typical_set(seqs, s_seq, target, epsilon)
+    total = prob[typical].sum()
+    got = typicality_log_prob(np.bincount(s_seq, minlength=ns), target,
+                              epsilon, p_u)
+    if total == 0:
+        assert got == -np.inf
+    else:
+        assert abs(got - np.log(total)) <= 1e-9
+
+
+@SETTINGS
+@given(blocks(max_n=12), st.floats(0.01, 0.3), st.floats(0.01, 1.0),
+       st.integers(0, 2**32 - 1))
+def test_empty_box_is_impossible(block, epsilon, excess, seed):
+    """A column whose mass exceeds the state's share by more than the box
+    slack admits no count vector."""
+    s_seq, target, p_u_given_s, p_u = block
+    card_u, ns = target.shape
+    state_counts = np.bincount(s_seq, minlength=ns)
+    s0 = int(s_seq[0])
+    target = target.copy()
+    target[:, s0] = _pmf(np.ones(card_u)) * (
+        state_counts[s0] / len(s_seq) + card_u * epsilon + excess)
+    assert typicality_log_prob(state_counts, target, epsilon, p_u) == -np.inf
+    boxes, log_mass = _state_boxes(state_counts, target, epsilon, p_u_given_s)
+    assert log_mass == -np.inf
+    assert _sample_box_codeword(np.random.default_rng(seed), s_seq, boxes) is None
+
+
+@SETTINGS
+@given(blocks(max_n=40), st.floats(0.05, 0.5), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_box_members_pass_the_kernel(block, epsilon, tilted, seed):
+    s_seq, target, p_u_given_s, p_u = block
+    ns = target.shape[1]
+    laws = p_u_given_s if tilted else np.tile(p_u, (ns, 1))
+    boxes, _ = _state_boxes(np.bincount(s_seq, minlength=ns), target, epsilon,
+                            laws)
+    codeword = _sample_box_codeword(np.random.default_rng(seed), s_seq, boxes)
+    if codeword is not None:
+        assert _typical_set(codeword, s_seq, target, epsilon)[1][0]
