@@ -6,19 +6,21 @@ Player A (the maximizer); Player B receives the negative.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import coo_array
 
-from .errors import CapacityError, ContractViolationError
+from .errors import ContractViolationError
 
 PROB_TOL = 1e-12
 LP_TOL = 1e-9
+# HiGHS stops at 1e-7 by default, which leaves gaps above LP_TOL on some games
+HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10,
+                 "dual_feasibility_tolerance": 1e-10}
 
 DEFAULT_NEG_INF = -1e6
-DEFAULT_STRATEGY_CAP = 1 << 22  # max entries of the expanded pure-strategy matrix
 
 
 def validate_prob_vector(p, tol=PROB_TOL, what="probability vector"):
@@ -158,50 +160,74 @@ class GameValueResult:
     lp_gap: float
 
 
-def _lp_mix(matrix, maximizer):
-    """Optimal mix for one side of a matrix game via LP.
+def _normalized_rows(rows):
+    rows = np.clip(rows, 0.0, None)
+    return rows / rows.sum(axis=1, keepdims=True)
 
-    maximizer=True: rows of `matrix` are the player's pure strategies, the
-    opponent picks columns, and the player maximizes the guaranteed value.
+
+def _solve_behavioral_lp(prior, payoff, map_a, signals_a, map_b, signals_b):
+    """Value and behavior strategies of a Bayesian game with deterministic signals.
+
+    Player A sees map_a[s], Player B sees map_b[s].  One LP over A's behavior
+    strategy x(a|g) and a value v_h per B signal: maximize sum_h v_h subject
+    to v_h <= sum_{s: map_b(s)=h} prior(s) sum_a x(a|map_a(s)) payoff(a,b,s)
+    for every (h, b) and sum_a x(a|g) = 1 (Koller, Megiddo and von Stengel,
+    STOC 1994).  B's behavior strategy y(b|h) is the dual of the (h, b) rows.
+    The value is what x guarantees; lp_gap is what y concedes minus that.
     """
-    M = matrix if maximizer else -matrix.T
-    m, n = M.shape
-    # variables: (x_1..x_m, v); maximize v s.t. x^T M >= v per column.
-    c = np.zeros(m + 1)
-    c[-1] = -1.0
-    A_ub = np.hstack([-M.T, np.ones((n, 1))])
-    b_ub = np.zeros(n)
-    A_eq = np.zeros((1, m + 1))
-    A_eq[0, :m] = 1.0
-    bounds = [(0, None)] * m + [(None, None)]
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=[1.0], bounds=bounds,
-                  method="highs")
+    na, nb, _ = payoff.shape
+    nx = signals_a * na
+    a, b, s = np.indices(payoff.shape).reshape(3, -1)
+    h_b = np.arange(signals_b * nb)
+    A_ub = coo_array(
+        (np.concatenate([-prior[s] * payoff.ravel(), np.ones(h_b.size)]),
+         (np.concatenate([map_b[s] * nb + b, h_b]),
+          np.concatenate([map_a[s] * na + a, nx + h_b // nb]))),
+        shape=(h_b.size, nx + signals_b))
+    A_eq = coo_array((np.ones(nx), (np.arange(nx) // na, np.arange(nx))),
+                     shape=(signals_a, nx + signals_b))
+    c = np.concatenate([np.zeros(nx), -np.ones(signals_b)])
+    res = linprog(c, A_ub=A_ub, b_ub=np.zeros(h_b.size), A_eq=A_eq,
+                  b_eq=np.ones(signals_a),
+                  bounds=[(0, None)] * nx + [(None, None)] * signals_b,
+                  method="highs", options=HIGHS_OPTIONS)
     if not res.success:
-        raise RuntimeError(f"matrix game LP failed: {res.message}")
-    mix = np.clip(res.x[:m], 0.0, None)
-    mix /= mix.sum()
-    # guaranteed value against every opponent pure strategy
-    value = (mix @ M).min()
-    return mix, (value if maximizer else -value)
+        raise RuntimeError(f"behavioral-strategy LP failed: {res.message}")
+    x = _normalized_rows(res.x[:nx].reshape(signals_a, na))
+    y = _normalized_rows(-res.ineqlin.marginals.reshape(signals_b, nb))
+    # each strategy's payoff in every (signal, pure action) cell of the opponent
+    weighted = payoff * prior
+    cells_x = np.zeros((signals_b, nb))
+    np.add.at(cells_x, map_b, np.einsum("sa,abs->sb", x[map_a], weighted))
+    cells_y = np.zeros((signals_a, na))
+    np.add.at(cells_y, map_a, np.einsum("sb,abs->sa", y[map_b], weighted))
+    value_a = cells_x.min(axis=1).sum()
+    value_b = cells_y.max(axis=1).sum()
+    return GameValueResult(
+        value=float(value_a),
+        strategy_a=ConditionalDistribution(x),
+        strategy_b=ConditionalDistribution(y),
+        lp_gap=float(abs(value_b - value_a)),
+    )
 
 
 def solve_matrix_game(matrix) -> GameValueResult:
     """Value and optimal mixed strategies of a zero-sum matrix game.
 
-    Rows are the maximizer's pure strategies, columns the minimizer's.
+    Rows are the maximizer's pure strategies, columns the minimizer's.  This
+    is the one-state game in which neither player has anything to observe.
     """
     M = np.atleast_2d(np.asarray(matrix, dtype=float))
     if M.size == 0 or not np.all(np.isfinite(M)):
         raise ContractViolationError("matrix must be nonempty with finite entries")
-    row_mix, v_row = _lp_mix(M, maximizer=True)
-    col_mix, v_col = _lp_mix(M, maximizer=False)
-    gap = v_col - v_row
-    return GameValueResult(
-        value=float(v_row),
-        strategy_a=ConditionalDistribution(row_mix[None, :]),
-        strategy_b=ConditionalDistribution(col_mix[None, :]),
-        lp_gap=float(abs(gap)),
-    )
+    zero = np.zeros(1, dtype=int)
+    return _solve_behavioral_lp(np.ones(1), M[:, :, None], zero, 1, zero, 1)
+
+
+def optimal_state_strategy(game: Game):
+    """Per-state minimax mixes for Player A (the full-information strategy)."""
+    return np.stack([solve_matrix_game(game.state_matrix(s)).strategy_a.rows[0]
+                     for s in range(game.n_states)])
 
 
 def _check_signal(game, f, side):
@@ -228,51 +254,18 @@ def expected_payoff(game: Game, strat_a: ConditionalDistribution,
     return float(total)
 
 
-def _pure_maps(n_actions, n_signals):
-    return list(itertools.product(range(n_actions), repeat=n_signals))
-
-
-def game_value(game: Game, f_a: SignalFunction, f_b: SignalFunction,
-               size_cap: int = DEFAULT_STRATEGY_CAP) -> GameValueResult:
+def game_value(game: Game, f_a: SignalFunction, f_b: SignalFunction) -> GameValueResult:
     """Value of the game where each player observes a deterministic signal of the state.
 
-    Solved by expanding pure strategies to maps signal->action and solving the
-    resulting matrix game.  A constant signal means the player does not know S;
-    the identity signal means full knowledge.
+    Solved as one behavioral-strategy LP, whose size grows linearly with the
+    payoff tensor.  A constant signal means the player does not know S; the
+    identity signal means full knowledge.
     """
     _check_signal(game, f_a, "A")
     _check_signal(game, f_b, "B")
-    na, nb = game.n_actions_a, game.n_actions_b
-    rows = na ** f_a.signal_count
-    cols = nb ** f_b.signal_count
-    if rows * cols > size_cap:
-        raise CapacityError(
-            f"expanded strategy matrix {rows}x{cols} exceeds cap {size_cap}")
-    a_maps = np.array(_pure_maps(na, f_a.signal_count))
-    b_maps = np.array(_pure_maps(nb, f_b.signal_count))
-    M = np.zeros((rows, cols))
-    for s in range(game.n_states):
-        ai = a_maps[:, f_a.map[s]]
-        bi = b_maps[:, f_b.map[s]]
-        M += game.prior[s] * game.payoff[np.ix_(ai, bi)][:, :, s]
-    sol = solve_matrix_game(M)
-    # collapse map mixtures to per-signal behavioral strategies
-    xa = sol.strategy_a.rows[0]
-    xb = sol.strategy_b.rows[0]
-    beh_a = np.zeros((f_a.signal_count, na))
-    for g, w in zip(a_maps, xa):
-        for sig in range(f_a.signal_count):
-            beh_a[sig, g[sig]] += w
-    beh_b = np.zeros((f_b.signal_count, nb))
-    for g, w in zip(b_maps, xb):
-        for sig in range(f_b.signal_count):
-            beh_b[sig, g[sig]] += w
-    return GameValueResult(
-        value=sol.value,
-        strategy_a=ConditionalDistribution(beh_a),
-        strategy_b=ConditionalDistribution(beh_b),
-        lp_gap=sol.lp_gap,
-    )
+    return _solve_behavioral_lp(game.prior, game.payoff,
+                                np.asarray(f_a.map), f_a.signal_count,
+                                np.asarray(f_b.map), f_b.signal_count)
 
 
 def min_payoff_given_observation(joint, payoff, a_axis, s_axis, observed_axes):

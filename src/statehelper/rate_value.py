@@ -18,6 +18,7 @@ from .game_core import (
     ConditionalDistribution,
     Game,
     min_payoff_given_observation,
+    optimal_state_strategy,
     solve_matrix_game,
     validate_prob_vector,
 )
@@ -248,8 +249,7 @@ def _optimizer_seeds(game: Game, rate, card_u, rng, restarts):
 
     avg = solve_matrix_game(game.averaged_matrix())
     no_info_mix = avg.strategy_a.rows[0]
-    per_state = np.stack([solve_matrix_game(game.state_matrix(s)).strategy_a.rows[0]
-                          for s in range(game.n_states)])
+    per_state = optimal_state_strategy(game)
     # U constant, A plays the averaged-game minimax mix
     seeds.append((pad_cols(np.ones((ns, 1)), card_u), pad_rows(no_info_mix[None, :], card_u)))
     if card_u >= ns:  # U = S, A plays the per-state optimal mixes

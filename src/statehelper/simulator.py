@@ -21,7 +21,6 @@ them outweighs the true codeword.
 from __future__ import annotations
 
 import io
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -29,7 +28,7 @@ import numpy as np
 from scipy.special import gammaln, ndtr
 
 from .errors import CapacityError, ContractViolationError, InfeasibleRateError
-from .game_core import Game, solve_matrix_game
+from .game_core import Game, optimal_state_strategy, solve_matrix_game
 from .rate_value import Scheme
 
 DEFAULT_CODEBOOK_CAP = 1 << 22  # total symbols: count * n
@@ -229,9 +228,9 @@ def _box_vectors(n_s, n, p_col, epsilon):
     lo = np.maximum(np.ceil((p_col - epsilon) * n - 1e-9).astype(int), 0)
     hi = np.minimum(np.floor((p_col + epsilon) * n + 1e-9).astype(int), n_s)
     hi[p_col <= 0] = 0
-    heads = list(itertools.product(*(range(lo[i], hi[i] + 1)
-                                     for i in range(card - 1))))
-    heads = np.array(heads, dtype=int).reshape(len(heads), card - 1)
+    span = np.maximum(hi[:-1] - lo[:-1] + 1, 0)
+    # every head in lexicographic order, the last cell varying fastest
+    heads = lo[:-1] + np.indices(span).reshape(card - 1, int(np.prod(span))).T
     vecs = np.column_stack([heads, n_s - heads.sum(axis=1)])
     inside = (lo <= vecs) & (vecs <= hi) & _typical_cells(vecs, n, p_col, epsilon)
     return vecs[inside.all(axis=1)]
@@ -826,12 +825,6 @@ def run_match(game: Game, scheme: Scheme, rate: float, config: MatchConfig
         encoder_failure_rate=failures / trials,
         mean_payoff=float(per_iter.mean()),
     )
-
-
-def optimal_state_strategy(game: Game):
-    """Per-state minimax mixes for Player A (the full-information strategy)."""
-    return np.stack([solve_matrix_game(game.state_matrix(s)).strategy_a.rows[0]
-                     for s in range(game.n_states)])
 
 
 def deterministic_baseline(game: Game, rate: float, n: int, trials: int,

@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from statehelper import parse_scheme, serialize_game, serialize_scheme
+from statehelper import (
+    CapacityError,
+    cli,
+    parse_scheme,
+    serialize_game,
+    serialize_scheme,
+    solve_matrix_game,
+)
 from statehelper.cli import main
 
 from conftest import (
@@ -176,15 +183,25 @@ def test_invalid_yaml_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_capacity_exit_code(tmp_path, capsys):
-    # 4^12 x 4^12 expanded strategies blow the matrix cap
+def test_capacity_exit_code(tmp_path, capsys, monkeypatch, scheme_file, erasure_file):
+    # 4^12 x 4^12 pure maps: the behavioral-strategy LP solves it directly
     rng = np.random.default_rng(0)
     from conftest import random_game
     game = random_game(rng, n_states=12, n_actions_a=4, n_actions_b=4)
     path = tmp_path / "big.game"
     path.write_text(serialize_game(game))
     assert main(["value", str(path), "--a-info", "state",
-                 "--b-info", "state"]) == 4
+                 "--b-info", "state"]) == 0
+    expected = sum(game.prior[s] * solve_matrix_game(game.state_matrix(s)).value
+                   for s in range(game.n_states))
+    assert abs(_line_value(capsys.readouterr().out, "value") - expected) < 1e-9
+    # an oversized codebook still exits with the capacity code
+    def oversized(*args, **kwargs):
+        raise CapacityError("codebook exceeds cap")
+
+    monkeypatch.setattr(cli, "run_match", oversized)
+    assert main(["simulate", erasure_file, scheme_file, "--rate", "0.8",
+                 "--n", "8", "--trials", "1"]) == 4
     assert "capacity:" in capsys.readouterr().err
 
 

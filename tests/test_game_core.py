@@ -8,13 +8,14 @@ import pytest
 from statehelper import (
     ConditionalDistribution,
     ContractViolationError,
+    Game,
     SignalFunction,
     best_response_payoff,
     expected_payoff,
     game_value,
     solve_matrix_game,
 )
-from statehelper.simulator import optimal_state_strategy
+from statehelper.game_core import optimal_state_strategy
 
 from conftest import random_game
 
@@ -89,21 +90,56 @@ def test_identity_signals_decompose_per_state():
         assert abs(sol.value - direct) < 1e-9
 
 
+def _pure_map_game(game, f_a, f_b):
+    """Every pure signal->action map of each player, and the matrix game between them."""
+    maps_a = list(itertools.product(range(game.n_actions_a), repeat=f_a.signal_count))
+    maps_b = list(itertools.product(range(game.n_actions_b), repeat=f_b.signal_count))
+    M = np.array([[sum(game.prior[s] * game.payoff[ma[f_a.map[s]], mb[f_b.map[s]], s]
+                       for s in range(game.n_states))
+                   for mb in maps_b] for ma in maps_a])
+    return maps_a, maps_b, M
+
+
+def _random_signal(rng, n_states):
+    count = int(rng.integers(1, n_states + 1))
+    return SignalFunction(tuple(int(g) for g in rng.integers(0, count, n_states)), count)
+
+
 def test_game_value_against_brute_force():
-    """Cross-check the strategy-expansion LP against direct enumeration."""
+    """Cross-check the behavioral-strategy LP against the pure-map matrix game."""
     rng = np.random.default_rng(17)
-    for _ in range(10):
-        game = random_game(rng, n_states=2, n_actions_a=2, n_actions_b=2)
-        f_a = SignalFunction((0, 1), 2)
-        f_b = SignalFunction.constant(2)
+    for _ in range(20):
+        game = random_game(rng, n_states=3, n_actions_a=2, n_actions_b=2)
+        f_a, f_b = _random_signal(rng, 3), _random_signal(rng, 3)
         sol = game_value(game, f_a, f_b)
-        # expand A's pure maps signal -> action by hand
-        M = np.zeros((4, 2))
-        for i, amap in enumerate(itertools.product(range(2), repeat=2)):
-            for b in range(2):
-                M[i, b] = sum(game.prior[s] * game.payoff[amap[s], b, s]
-                              for s in range(2))
-        assert abs(sol.value - solve_matrix_game(M).value) < 1e-9
+        maps_a, maps_b, M = _pure_map_game(game, f_a, f_b)
+        assert abs(sol.value - solve_matrix_game(M).value) < 1e-9, (f_a, f_b)
+        # each returned strategy guarantees the value against every pure map
+        for amap in maps_a:
+            pure_a = ConditionalDistribution(np.eye(game.n_actions_a)[list(amap)])
+            payoff = expected_payoff(game, pure_a, sol.strategy_b, f_a, f_b)
+            assert payoff <= sol.value + 1e-9
+        for bmap in maps_b:
+            pure_b = ConditionalDistribution(np.eye(game.n_actions_b)[list(bmap)])
+            payoff = expected_payoff(game, sol.strategy_a, pure_b, f_a, f_b)
+            assert payoff >= sol.value - 1e-9
+
+
+def test_lp_gap_within_tolerance_on_float_game():
+    """A float game on which HiGHS at its default tolerances left a 1.5e-8 gap."""
+    rng = np.random.default_rng([9, 1])
+    games = []
+    for ns, na, nb in ((4, 4, 3), (5, 3, 3), (5, 4, 3), (6, 3, 3)):
+        prior = rng.dirichlet(np.full(ns, 2.0))
+        payoff = np.round(rng.uniform(-2, 2, (na, nb, ns)), 3)
+        games.append(Game(tuple(map(str, range(ns))), prior, tuple(map(str, range(na))),
+                          tuple(map(str, range(nb))), payoff))
+    game = games[1]  # 5 states, 3x3 actions; A blind, B informed
+    f_a, f_b = SignalFunction.constant(5), SignalFunction.identity(5)
+    sol = game_value(game, f_a, f_b)
+    assert sol.lp_gap <= 1e-9
+    _, _, M = _pure_map_game(game, f_a, f_b)
+    assert abs(sol.value - solve_matrix_game(M).value) < 1e-9
 
 
 def test_expected_payoff_hand_computed(erasure_game):

@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from statehelper.simulator import (
+    _box_vectors,
     _sample_box_codeword,
     _state_boxes,
+    _typical_cells,
     _typical_set,
     typicality_log_prob,
 )
@@ -70,6 +72,23 @@ def test_typicality_log_prob_matches_enumeration(block, epsilon):
         assert got == -np.inf
     else:
         assert abs(got - np.log(total)) <= 1e-9
+
+
+@SETTINGS
+@given(st.integers(1, 30), st.data(), st.lists(st.integers(0, 3), min_size=1,
+                                               max_size=4).filter(any),
+       st.floats(0.01, 0.6))
+def test_box_vectors_match_enumeration(n, data, weights, epsilon):
+    """A state's box is every count vector summing to n_s whose cells are
+    typical, in lexicographic order."""
+    n_s = data.draw(st.integers(0, n))
+    p_col = _pmf(weights) * n_s / n  # a state's column of the joint target
+    heads = itertools.product(range(n_s + 1), repeat=p_col.size - 1)
+    vecs = np.array([head + (n_s - sum(head),) for head in heads
+                     if sum(head) <= n_s], dtype=int)
+    expected = vecs[_typical_cells(vecs, n, p_col, epsilon).all(axis=1)]
+    got = _box_vectors(n_s, n, p_col, epsilon)
+    assert got.shape == expected.shape and np.array_equal(got, expected)
 
 
 @SETTINGS
