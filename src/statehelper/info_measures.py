@@ -19,18 +19,19 @@ MASS_TOL = 1e-12
 FEASIBILITY_TOL = 1e-6  # total variation between reconstructed and target joint
 
 
-def _xlog2x(p):
-    p = np.asarray(p, dtype=float)
-    out = np.zeros_like(p)
-    mask = p > 0
-    out[mask] = p[mask] * np.log2(p[mask])
-    return out
+def _entropy_bits(p) -> float:
+    """-sum q log2 q over the positive entries q of the array p (0 log 0 = 0).
+
+    Unchecked: p is taken to be a pmf of any shape.
+    """
+    q = p[p > 0]
+    return float(-(q * np.log2(q)).sum())
 
 
 def entropy(p) -> float:
     """Shannon entropy -sum p log2 p with 0 log 0 = 0."""
     p = validate_prob_vector(np.ravel(np.asarray(p, dtype=float)), tol=1e-9, what="pmf")
-    return float(-_xlog2x(p).sum())
+    return _entropy_bits(p)
 
 
 def binary_entropy(p: float) -> float:
@@ -96,7 +97,7 @@ def _check_grouping(joint, groups):
 
 
 def _marginal_entropy(joint, axes):
-    return float(-_xlog2x(joint.marginal(tuple(axes))).sum())
+    return _entropy_bits(joint.marginal(tuple(axes)))
 
 
 def mutual_information(joint: JointDistribution, group_x, group_y) -> float:
@@ -105,7 +106,7 @@ def mutual_information(joint: JointDistribution, group_x, group_y) -> float:
     _check_grouping(joint, (group_x, group_y))
     hx = _marginal_entropy(joint, group_x)
     hy = _marginal_entropy(joint, group_y)
-    hxy = float(-_xlog2x(joint.mass).sum())
+    hxy = _entropy_bits(joint.mass)
     return max(hx + hy - hxy, 0.0)
 
 
@@ -117,7 +118,7 @@ def conditional_mutual_information(joint: JointDistribution, group_x, group_y,
     hxz = _marginal_entropy(joint, group_x + group_z)
     hyz = _marginal_entropy(joint, group_y + group_z)
     hz = _marginal_entropy(joint, group_z)
-    hxyz = float(-_xlog2x(joint.mass).sum())
+    hxyz = _entropy_bits(joint.mass)
     return max(hxz + hyz - hz - hxyz, 0.0)
 
 

@@ -24,6 +24,7 @@ from .game_core import (
 )
 from .info_measures import (
     JointDistribution,
+    _entropy_bits,
     binary_entropy,
     conditional_mutual_information,
     inverse_binary_entropy,
@@ -144,23 +145,43 @@ class RateValuePoint:
     b_knows_state: bool
 
 
+def _stats_kernel(prior, p_u_s, p_a_u, payoff) -> SchemeStats:
+    """All Theorem-1 inputs from arrays: the one copy of the formulas.
+
+    prior (s,), the rows p(u|s) (s, u) and p(a|u) (u, a) must already be
+    probability vectors and row-stochastic; payoff is indexed [a, b, s].
+    Nothing is checked, so callers outside the optimizer go through
+    scheme_statistics.
+    """
+    m = prior[:, None, None] * p_u_s[:, :, None] * p_a_u[None, :, :]  # (s, u, a)
+    p_su = m.sum(axis=2)
+    p_sa = m.sum(axis=1)
+    h_s = _entropy_bits(p_su.sum(axis=1))
+    h_u = _entropy_bits(p_su.sum(axis=0))
+    h_su = _entropy_bits(p_su)
+    h_sa = _entropy_bits(p_sa)
+    h_sua = _entropy_bits(m)
+    # w[s, u, b]: A's payoff mass in each (s, u) cell against each pure b
+    w = np.einsum("sua,abs->sub", m, payoff)
+    return SchemeStats(
+        i_us=max(h_s + h_u - h_su, 0.0),
+        i_usa=max(h_u + h_sa - h_sua, 0.0),
+        i_ua_given_s=max(h_su + h_sa - h_s - h_sua, 0.0),
+        pi_low=float(w.sum(axis=(0, 1)).min()),
+        pi_low_s=float(w.sum(axis=1).min(axis=1).sum()),
+        pi_low_u=float(w.sum(axis=0).min(axis=1).sum()),
+        pi_low_su=float(w.min(axis=2).sum()))
+
+
 def scheme_statistics(game: Game, scheme: Scheme) -> SchemeStats:
-    """All Theorem-1 inputs for a game/scheme pair."""
+    """All Theorem-1 inputs for a game/scheme pair: the checked _stats_kernel."""
     if scheme.p_u_given_s.from_size != game.n_states:
         raise ContractViolationError("scheme state cardinality does not match game")
     if scheme.p_a_given_u.to_size != game.n_actions_a:
         raise ContractViolationError("scheme action cardinality does not match game")
-    joint = scheme.joint(game.prior)  # axes (s, u, a)
-    i_us = mutual_information(JointDistribution(joint.marginal((0, 1))), (0,), (1,))
-    i_usa = mutual_information(joint, (1,), (0, 2))
-    i_ua_given_s = conditional_mutual_information(joint, (1,), (2,), (0,))
-    m = joint.mass  # (s, u, a)
-    pays = {}
-    for name, observed in (("pi_low", ()), ("pi_low_s", (0,)),
-                           ("pi_low_u", (1,)), ("pi_low_su", (0, 1))):
-        pays[name] = min_payoff_given_observation(
-            m, game.payoff, a_axis=2, s_axis=0, observed_axes=observed)
-    return SchemeStats(i_us=i_us, i_usa=i_usa, i_ua_given_s=i_ua_given_s, **pays)
+    scheme.joint(game.prior)  # validates the prior against the scheme
+    return _stats_kernel(game.prior, scheme.p_u_given_s.rows,
+                         scheme.p_a_given_u.rows, game.payoff)
 
 
 def _clamped_ratio(num: float, den: float) -> float:
@@ -179,6 +200,14 @@ def threshold_alpha(stats: SchemeStats, rate: float, b_knows_state: bool) -> flo
     return _clamped_ratio(rate, stats.i_usa)
 
 
+def _bound_payoff(stats: SchemeStats, rate: float, b_knows_state: bool):
+    """(alpha, payoff): the Theorem-1 two-phase average for these statistics."""
+    alpha = threshold_alpha(stats, rate, b_knows_state)
+    if b_knows_state:
+        return alpha, alpha * stats.pi_low_s + (1 - alpha) * stats.pi_low_su
+    return alpha, alpha * stats.pi_low + (1 - alpha) * stats.pi_low_u
+
+
 def theorem1_payoff(game: Game, scheme: Scheme, rate: float,
                     b_knows_state: bool) -> RateValuePoint:
     """Achievable block-average payoff at the given rate.
@@ -191,11 +220,7 @@ def theorem1_payoff(game: Game, scheme: Scheme, rate: float,
     if not b_knows_state and rate < stats.i_us - RATE_TOL:
         raise InfeasibleRateError(
             f"rate {rate} is below I(U;S)={stats.i_us}; the encoder cannot cover the state")
-    alpha = threshold_alpha(stats, rate, b_knows_state)
-    if b_knows_state:
-        payoff = alpha * stats.pi_low_s + (1 - alpha) * stats.pi_low_su
-    else:
-        payoff = alpha * stats.pi_low + (1 - alpha) * stats.pi_low_u
+    alpha, payoff = _bound_payoff(stats, rate, b_knows_state)
     return RateValuePoint(rate=float(rate), payoff=float(payoff), alpha=float(alpha),
                           b_knows_state=b_knows_state)
 
@@ -208,28 +233,27 @@ class BoundSearch:
     infeasibility_penalty: float = 1e3
 
 
-def _scheme_from_logits(theta, ns, nu, na):
-    zu = theta[:ns * nu].reshape(ns, nu)
-    za = theta[ns * nu:].reshape(nu, na)
-
+def _softmax_rows(theta, ns, nu, na):
+    """The rows p(u|s) and p(a|u) that the optimizer's logits theta encode."""
     def softmax(z):
         z = z - z.max(axis=-1, keepdims=True)
         e = np.exp(z)
         return e / e.sum(axis=-1, keepdims=True)
 
-    return Scheme(ConditionalDistribution(softmax(zu)),
-                  ConditionalDistribution(softmax(za)))
+    return (softmax(theta[:ns * nu].reshape(ns, nu)),
+            softmax(theta[ns * nu:].reshape(nu, na)))
 
 
-def _penalized_payoff(game, scheme, rate, b_knows_state, penalty):
-    stats = scheme_statistics(game, scheme)
-    alpha = threshold_alpha(stats, rate, b_knows_state)
-    if b_knows_state:
-        p = alpha * stats.pi_low_s + (1 - alpha) * stats.pi_low_su
-    else:
-        p = alpha * stats.pi_low + (1 - alpha) * stats.pi_low_u
-        if rate < stats.i_us:
-            p -= penalty * (stats.i_us - rate)
+def _scheme_from_logits(theta, ns, nu, na):
+    p_u_s, p_a_u = _softmax_rows(theta, ns, nu, na)
+    return Scheme(ConditionalDistribution(p_u_s), ConditionalDistribution(p_a_u))
+
+
+def _penalized_payoff(stats, rate, b_knows_state, penalty):
+    """Bound payoff, less a penalty on the rate an ignorant-B encoder lacks."""
+    _, p = _bound_payoff(stats, rate, b_knows_state)
+    if not b_knows_state and rate < stats.i_us:
+        p -= penalty * (stats.i_us - rate)
     return p
 
 
@@ -280,8 +304,9 @@ def optimize_bound(game: Game, rate: float, b_knows_state: bool, card_u: int,
                                  np.log(np.clip(pa0, 1e-9, None)).ravel()])
 
         def neg_obj(theta):
-            scheme = _scheme_from_logits(theta, ns, card_u, na)
-            return -_penalized_payoff(game, scheme, rate, b_knows_state,
+            stats = _stats_kernel(game.prior, *_softmax_rows(theta, ns, card_u, na),
+                                  game.payoff)
+            return -_penalized_payoff(stats, rate, b_knows_state,
                                       search.infeasibility_penalty)
 
         res = minimize(neg_obj, theta0, method="Nelder-Mead",
@@ -289,8 +314,8 @@ def optimize_bound(game: Game, rate: float, b_knows_state: bool, card_u: int,
                                 "fatol": 1e-12})
         for theta in (theta0, res.x):
             scheme = _scheme_from_logits(theta, ns, card_u, na)
-            obj = _penalized_payoff(game, scheme, rate, b_knows_state,
-                                    search.infeasibility_penalty)
+            obj = _penalized_payoff(scheme_statistics(game, scheme), rate,
+                                    b_knows_state, search.infeasibility_penalty)
             if obj > best_obj:
                 best_obj, best_scheme = obj, scheme
     point = theorem1_payoff(game, best_scheme, rate, b_knows_state)
@@ -327,11 +352,13 @@ def _marginalized_scheme(lscheme: LayeredScheme, prior, drop_layer: int) -> Sche
     else:
         keep = joint.sum(axis=1)  # (s, u2, a)
     p_su = keep.sum(axis=2)  # (s, u)
-    p_u_given_s = p_su / p_su.sum(axis=1, keepdims=True)
+    p_s = p_su.sum(axis=1)
     p_u = p_su.sum(axis=0)
     p_ua = keep.sum(axis=0)  # (u, a)
-    na = p_ua.shape[1]
+    nu, na = p_ua.shape
+    # zero-mass states and symbols carry no joint mass; give them uniform rows
     with np.errstate(divide="ignore", invalid="ignore"):
+        p_u_given_s = np.where(p_s[:, None] > 0, p_su / p_s[:, None], 1.0 / nu)
         p_a_given_u = np.where(p_u[:, None] > 0, p_ua / p_u[:, None], 1.0 / na)
     return Scheme(ConditionalDistribution(p_u_given_s),
                   ConditionalDistribution(p_a_given_u))

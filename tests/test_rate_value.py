@@ -2,27 +2,43 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from statehelper import (
     BoundSearch,
     ConditionalDistribution,
     ContractViolationError,
+    Game,
     InfeasibleRateError,
+    JointDistribution,
     LayeredScheme,
     Scheme,
     SignalFunction,
     binary_entropy,
+    conditional_mutual_information,
     degenerate_rd_payoff,
     degenerate_rd_rate,
     game_value,
     inverse_binary_entropy,
     layered_payoff,
+    mutual_information,
     optimize_bound,
     scheme_statistics,
     theorem1_payoff,
     threshold_alpha,
 )
-from conftest import random_game, random_scheme
+from statehelper import rate_value
+from statehelper.game_core import min_payoff_given_observation
+from statehelper.rate_value import (
+    SchemeStats,
+    _marginalized_scheme,
+    _penalized_payoff,
+    _scheme_from_logits,
+    _softmax_rows,
+    _stats_kernel,
+)
+from conftest import FORBIDDEN, random_game, random_scheme
 
 H_QUARTER = binary_entropy(0.25)
 
@@ -240,3 +256,205 @@ def test_alpha_endpoint_consistency():
         p1 = theorem1_payoff(game, scheme, stats.i_us + stats.i_ua_given_s + 5.0,
                              b_knows_state=True)
         assert abs(p1.alpha - 1.0) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the statistics kernel and the optimizer objective
+
+SETTINGS = settings(max_examples=150, deadline=None)
+STATS_FIELDS = tuple(SchemeStats.__dataclass_fields__)
+
+
+def _pmf(weights):
+    weights = np.asarray(weights, dtype=float)
+    return weights / weights.sum()
+
+
+@st.composite
+def games_and_schemes(draw):
+    """|S|, |U|, |A|, |B| in 1..4 with zero-prior states, U symbols no state
+    reaches, rows with zero entries and forbidden (-1e6) payoffs."""
+    ns, nu, na, nb = (draw(st.integers(1, 4)) for _ in range(4))
+
+    def row(size, alive=None):
+        weights = np.array(draw(st.lists(st.integers(0, 4), min_size=size,
+                                         max_size=size)), dtype=float)
+        if alive is not None:
+            weights[~alive] = 0.0
+        if not weights.any():
+            weights[np.flatnonzero(alive)[0] if alive is not None else 0] = 1.0
+        return _pmf(weights)
+
+    alive = np.array(draw(st.lists(st.booleans(), min_size=nu, max_size=nu)))
+    alive[0] = True
+    cell = st.one_of(st.just(FORBIDDEN), st.floats(-3.0, 3.0))
+    payoff = np.array(draw(st.lists(cell, min_size=na * nb * ns,
+                                    max_size=na * nb * ns))).reshape(na, nb, ns)
+    game = Game(states=tuple(str(s) for s in range(ns)), prior=row(ns),
+                actions_a=tuple(f"a{a}" for a in range(na)),
+                actions_b=tuple(f"b{b}" for b in range(nb)),
+                payoff=payoff, neg_inf_value=FORBIDDEN)
+    scheme = Scheme(
+        ConditionalDistribution(np.stack([row(nu, alive) for _ in range(ns)])),
+        ConditionalDistribution(np.stack([row(na) for _ in range(nu)])))
+    return game, scheme
+
+
+def _reference_stats(game, scheme):
+    """The Theorem-1 inputs through JointDistribution marginals, one
+    information measure and one best-response minimum at a time."""
+    joint = scheme.joint(game.prior)  # axes (s, u, a)
+    pays = {name: min_payoff_given_observation(
+                joint.mass, game.payoff, a_axis=2, s_axis=0, observed_axes=observed)
+            for name, observed in (("pi_low", ()), ("pi_low_s", (0,)),
+                                   ("pi_low_u", (1,)), ("pi_low_su", (0, 1)))}
+    return SchemeStats(
+        i_us=mutual_information(JointDistribution(joint.marginal((0, 1))),
+                                (0,), (1,)),
+        i_usa=mutual_information(joint, (1,), (0, 2)),
+        i_ua_given_s=conditional_mutual_information(joint, (1,), (2,), (0,)),
+        **pays)
+
+
+def _close(x, y, tol=1e-12):
+    """Within tol, relative to the size of the numbers once they pass 1."""
+    return abs(x - y) <= tol * max(1.0, abs(y))
+
+
+@SETTINGS
+@given(games_and_schemes())
+def test_property_kernel_matches_reference(pair):
+    game, scheme = pair
+    stats, ref = scheme_statistics(game, scheme), _reference_stats(game, scheme)
+    for name in STATS_FIELDS:
+        assert _close(getattr(stats, name), getattr(ref, name)), name
+
+
+@SETTINGS
+@given(games_and_schemes(), st.floats(0.0, 3.0), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_property_objective_on_rows_matches_scheme_path(pair, rate, informed, seed):
+    game, scheme = pair
+    penalty = BoundSearch().infeasibility_penalty
+
+    def objective(p_u_s, p_a_u):  # what the optimizer evaluates
+        stats = _stats_kernel(game.prior, p_u_s, p_a_u, game.payoff)
+        return _penalized_payoff(stats, rate, informed, penalty)
+
+    def checked(s):  # what picks and certifies the winner
+        return _penalized_payoff(scheme_statistics(game, s), rate, informed,
+                                 penalty)
+
+    assert objective(scheme.p_u_given_s.rows, scheme.p_a_given_u.rows) \
+        == checked(scheme)
+    # raw softmax rows: ConditionalDistribution renormalizes each row, which
+    # can move it by an ulp
+    ns, nu, na = game.n_states, scheme.card_u, game.n_actions_a
+    theta = np.random.default_rng(seed).normal(0.0, 3.0, ns * nu + nu * na)
+    assert _close(objective(*_softmax_rows(theta, ns, nu, na)),
+                  checked(_scheme_from_logits(theta, ns, nu, na)))
+
+
+def test_scheme_statistics_rejects_mismatched_cardinalities(erasure_game):
+    three_states = Scheme.constant_u(np.array([0.0, 1.0, 0.0]), 3)
+    with pytest.raises(ContractViolationError):
+        scheme_statistics(erasure_game, three_states)
+    two_actions = Scheme.constant_u(np.array([0.5, 0.5]), 2)
+    with pytest.raises(ContractViolationError):
+        scheme_statistics(erasure_game, two_actions)
+
+
+def test_optimize_bound_checks_only_start_points(monkeypatch, erasure_game):
+    """The search evaluates the kernel; the checked statistics run twice per
+    start point (its start and its optimum) and once for the winner."""
+    calls = {"stats": 0, "starts": 0, "evaluations": 0}
+    checked, minimize = rate_value.scheme_statistics, rate_value.minimize
+
+    def counting_stats(game, scheme):
+        calls["stats"] += 1
+        return checked(game, scheme)
+
+    def counting_minimize(fun, x0, **kwargs):
+        calls["starts"] += 1
+        res = minimize(fun, x0, **kwargs)
+        calls["evaluations"] += res.nfev
+        return res
+
+    monkeypatch.setattr(rate_value, "scheme_statistics", counting_stats)
+    monkeypatch.setattr(rate_value, "minimize", counting_minimize)
+    for informed in (True, False):
+        calls.update(stats=0, starts=0, evaluations=0)
+        optimize_bound(erasure_game, 0.7, informed, card_u=3,
+                       search=BoundSearch(restarts=4, iterations=60))
+        assert calls["starts"] == 4
+        assert calls["stats"] <= 2 * calls["starts"] + 1
+        assert calls["evaluations"] > calls["stats"]
+
+
+# ---------------------------------------------------------------------------
+# zero-mass symbols and degenerate layers
+
+
+@SETTINGS
+@given(games_and_schemes())
+def test_property_zero_mass_symbols(pair):
+    game, scheme = pair
+    p_u = scheme.p_u(game.prior)
+    rows = scheme.p_s_given_u(game.prior).rows
+    dead = p_u <= 0
+    assert np.array_equal(rows[dead], np.full((dead.sum(), game.n_states),
+                                              1.0 / game.n_states))
+    live = game.prior[:, None] * scheme.p_u_given_s.rows[:, ~dead] / p_u[~dead]
+    assert np.allclose(rows[~dead], live.T, rtol=0.0, atol=1e-12)
+    stats = scheme_statistics(game, scheme)
+    assert all(np.isfinite(getattr(stats, name)) for name in STATS_FIELDS)
+
+
+def _constant_layer(scheme, n_states, layer):
+    """The scheme as a layered one whose U1 or U2 layer is constant."""
+    rows_u, rows_a = scheme.p_u_given_s.rows, scheme.p_a_given_u.rows
+    if layer == 2:
+        return LayeredScheme(
+            p_u1_given_s=ConditionalDistribution(rows_u),
+            p_u2_given_u1_s=ConditionalDistribution(
+                np.ones((scheme.card_u * n_states, 1))),
+            p_a_given_u1_u2=ConditionalDistribution(rows_a))
+    return LayeredScheme(p_u1_given_s=ConditionalDistribution(np.ones((n_states, 1))),
+                         p_u2_given_u1_s=ConditionalDistribution(rows_u),
+                         p_a_given_u1_u2=ConditionalDistribution(rows_a))
+
+
+def test_degenerate_layer_with_zero_prior_state():
+    """A state of prior 0 has no p(u|s) row to recover; the reduction must
+    not turn it into NaN."""
+    game = Game(states=("0", "1"), prior=np.array([1.0, 0.0]),
+                actions_a=("a0", "a1"), actions_b=("b0", "b1"),
+                payoff=np.array([[[1.0, 0.0], [0.0, 1.0]],
+                                 [[0.0, 1.0], [1.0, 0.0]]]))
+    scheme = Scheme(ConditionalDistribution(np.array([[0.5, 0.5], [0.5, 0.5]])),
+                    ConditionalDistribution(np.eye(2)))
+    for layer in (1, 2):
+        result = layered_payoff(game, _constant_layer(scheme, 2, layer), 0.5, True)
+        base = theorem1_payoff(game, scheme, 0.5, True)
+        assert abs(result.payoff - base.payoff) <= 1e-12
+
+
+@SETTINGS
+@given(games_and_schemes(), st.sampled_from((1, 2)), st.floats(0.0, 3.0),
+       st.booleans())
+def test_property_degenerate_layer_reduces_to_theorem1(pair, layer, rate, informed):
+    game, scheme = pair
+    if layer == 1:  # layered_payoff drops the constant U1 only when U2 carries
+        assume(scheme_statistics(game, scheme).i_usa > 1e-6)
+    lscheme = _constant_layer(scheme, game.n_states, layer)
+    reduced = _marginalized_scheme(lscheme, game.prior, layer)
+    try:
+        expected = theorem1_payoff(game, reduced, rate, informed)
+    except InfeasibleRateError:
+        with pytest.raises(InfeasibleRateError):
+            layered_payoff(game, lscheme, rate, informed)
+        return
+    result = layered_payoff(game, lscheme, rate, informed)
+    assert _close(result.payoff, expected.payoff)
+    assert abs(result.alpha2 - expected.alpha) <= 1e-12
+    assert result.alpha1 == (expected.alpha if layer == 2 else 0.0)
