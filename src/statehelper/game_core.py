@@ -24,8 +24,11 @@ DEFAULT_NEG_INF = -1e6
 
 
 def validate_prob_vector(p, tol=PROB_TOL, what="probability vector"):
-    """Check nonnegativity and normalization; renormalize drift below `tol`."""
+    """Check finiteness, nonnegativity and normalization; renormalize drift
+    below `tol`."""
     p = np.asarray(p, dtype=float)
+    if not np.all(np.isfinite(p)):
+        raise ContractViolationError(f"{what} has non-finite entries: {p}")
     if np.any(p < -tol):
         raise ContractViolationError(f"{what} has negative entries: {p}")
     p = np.clip(p, 0.0, None)

@@ -184,6 +184,21 @@ def scheme_statistics(game: Game, scheme: Scheme) -> SchemeStats:
                          scheme.p_a_given_u.rows, game.payoff)
 
 
+def _covering_gap(rate: float, i_cover: float) -> float:
+    """Rate the encoder lacks to find a codeword typical with the states.
+
+    Covering needs rate >= I(U;S) (I(U1,U2;S) for a layered scheme) whoever
+    observes the state, so one check serves an informed and an ignorant B.
+    """
+    return max(i_cover - rate, 0.0)
+
+
+def _require_covering(rate: float, i_cover: float, what: str = "I(U;S)"):
+    if _covering_gap(rate, i_cover) > RATE_TOL:
+        raise InfeasibleRateError(
+            f"rate {rate} is below {what}={i_cover}; the encoder cannot cover the state")
+
+
 def _clamped_ratio(num: float, den: float) -> float:
     """num/den clamped to [0, 1]; a zero denominator means nothing left to learn."""
     if den <= INFO_TOL:
@@ -213,13 +228,11 @@ def theorem1_payoff(game: Game, scheme: Scheme, rate: float,
     """Achievable block-average payoff at the given rate.
 
     Phase 1 (fraction alpha) plays the ideal mixed strategy; in phase 2 the
-    opponent knows the codeword.  When B is ignorant of the state the encoder
-    needs rate >= I(U;S) to find a typical codeword at all.
+    opponent knows the codeword.  Whether or not B knows the state, the
+    encoder needs rate >= I(U;S) to find a typical codeword at all.
     """
     stats = scheme_statistics(game, scheme)
-    if not b_knows_state and rate < stats.i_us - RATE_TOL:
-        raise InfeasibleRateError(
-            f"rate {rate} is below I(U;S)={stats.i_us}; the encoder cannot cover the state")
+    _require_covering(rate, stats.i_us)
     alpha, payoff = _bound_payoff(stats, rate, b_knows_state)
     return RateValuePoint(rate=float(rate), payoff=float(payoff), alpha=float(alpha),
                           b_knows_state=b_knows_state)
@@ -250,11 +263,9 @@ def _scheme_from_logits(theta, ns, nu, na):
 
 
 def _penalized_payoff(stats, rate, b_knows_state, penalty):
-    """Bound payoff, less a penalty on the rate an ignorant-B encoder lacks."""
+    """Bound payoff, less a penalty on the rate the encoder lacks to cover."""
     _, p = _bound_payoff(stats, rate, b_knows_state)
-    if not b_knows_state and rate < stats.i_us:
-        p -= penalty * (stats.i_us - rate)
-    return p
+    return p - penalty * _covering_gap(rate, stats.i_us)
 
 
 def _optimizer_seeds(game: Game, rate, card_u, rng, restarts):
@@ -314,9 +325,12 @@ def optimize_bound(game: Game, rate: float, b_knows_state: bool, card_u: int,
                                 "fatol": 1e-12})
         for theta in (theta0, res.x):
             scheme = _scheme_from_logits(theta, ns, card_u, na)
-            obj = _penalized_payoff(scheme_statistics(game, scheme), rate,
-                                    b_knows_state, search.infeasibility_penalty)
-            if obj > best_obj:
+            stats = scheme_statistics(game, scheme)
+            obj = _penalized_payoff(stats, rate, b_knows_state,
+                                    search.infeasibility_penalty)
+            # only a scheme the encoder can carry certifies its payoff; the
+            # constant-U start always can
+            if obj > best_obj and _covering_gap(rate, stats.i_us) <= RATE_TOL:
                 best_obj, best_scheme = obj, scheme
     point = theorem1_payoff(game, best_scheme, rate, b_knows_state)
     return best_scheme, point
@@ -372,7 +386,9 @@ def layered_payoff(game: Game, lscheme: LayeredScheme, rate: float,
     a U1-revealed phase, and a fully revealed phase.  The linear three-phase
     payoff combination is reported with both thresholds so it can be audited.
     A scheme with a degenerate layer reduces exactly to the single-auxiliary
-    bound.
+    bound.  Rates below I(U1,U2;S) raise InfeasibleRateError, except that an
+    ignorant-B scheme whose second layer would be decoded before its first
+    reports no_benefit and claims no payoff.
     """
     if lscheme.p_u1_given_s.from_size != game.n_states:
         raise ContractViolationError("layered scheme state cardinality does not match game")
@@ -402,17 +418,16 @@ def layered_payoff(game: Game, lscheme: LayeredScheme, rate: float,
         raw_alpha2 = (max(rate - i_u12_s, 0.0) / i_u2_a_given_u1s
                       if i_u2_a_given_u1s > INFO_TOL else np.inf)
     else:
-        if rate < i_u1_s - RATE_TOL:
-            raise InfeasibleRateError(
-                f"rate {rate} is below I(U1;S)={i_u1_s}; layer 1 cannot be built")
+        _require_covering(rate, i_u1_s, "I(U1;S)")
         alpha1 = _clamped_ratio(i_u1_s, i_u1_sa)
         raw_alpha2 = ((rate - i_u1_s) / i_u2_sa_given_u1
                       if i_u2_sa_given_u1 > INFO_TOL else np.inf)
     alpha2 = min(max(raw_alpha2, 0.0), 1.0)
     exceeds = raw_alpha2 > 1.0
-    if alpha1 > alpha2:
+    if alpha1 > alpha2:  # no payoff is claimed, so covering is moot
         return LayeredPayoffResult(payoff=np.nan, alpha1=alpha1, alpha2=alpha2,
                                    no_benefit=True, alpha2_exceeds_block=exceeds)
+    _require_covering(rate, i_u12_s, "I(U1,U2;S)")
     f0, f1, f2 = _layered_functionals(game, joint, b_knows_state)
     payoff = alpha1 * f0 + (alpha2 - alpha1) * f1 + (1 - alpha2) * f2
     return LayeredPayoffResult(payoff=float(payoff), alpha1=float(alpha1),

@@ -114,11 +114,6 @@ def _typical_set(sequences, state_seq, target_joint, epsilon):
     return counts, typical
 
 
-def joint_type_counts(u_seq, s_seq, card_u, n_states):
-    """Empirical joint counts over (u, s) pairs (the kernel's target is moot)."""
-    return _typical_set(u_seq, s_seq, np.zeros((card_u, n_states)), 0.0)[0][0]
-
-
 def is_jointly_typical(u_seq, s_seq, target_joint, epsilon):
     """Whether the joint type of (u_seq, s_seq) is typical for the target joint."""
     return bool(_typical_set(u_seq, s_seq, target_joint, epsilon)[1][0])
@@ -302,29 +297,30 @@ def _sample_box_codeword(rng, state_seq, boxes):
 # saddlepoint tail approximation for the analytic competitor ensemble
 
 
+# Regimes of `_CompetitorTail.log_tails`, in the order a row is tested.
+TAIL_REGIMES = ("unreachable", "empty", "above_sup", "at_sup", "bulk",
+                "overflow", "lugannani_rice", "arg_nonpositive", "tiny_uw")
+THETA_MAX = 400.0  # a saddlepoint beyond this counts as all mass at the supremum
+
+
 class _CompetitorTail:
     """Tail probabilities for sums of independent per-cell atoms.
 
-    Each cell has a small set of finite atom values with nonnegative weights
-    (weights need not sum to 1; the missing mass is a -inf atom that removes
-    a draw from contention).  log_tail(counts, threshold) approximates
-    ln P(sum of counts[c] draws from cell c >= threshold) with the
-    Lugannani-Rice saddlepoint formula, capped by the survival probability,
-    warm-starting the saddlepoint across calls so sweeping a block costs a
-    few Newton steps per position.
+    Row c of cell_values holds cell c's atom values, -inf marking an absent
+    atom, and log_w (broadcast to the same shape) their log weights.  The
+    weights need not sum to 1: the missing mass is a -inf atom that removes
+    a draw from contention.  log_tails(counts, thresholds) approximates, for
+    every row at once, ln P(sum of counts[c] draws from cell c >= threshold)
+    with the Lugannani-Rice saddlepoint formula, capped by the survival
+    probability.  Every row whose saddlepoint is needed shares one
+    safeguarded Newton/bisection solve on a (rows, cells, atoms) array.
     """
 
-    def __init__(self, cell_values, cell_logw):
-        width = max((v.size for v in cell_values), default=0)
-        c = len(cell_values)
-        self.values = np.zeros((c, max(width, 1)))
-        self.weights = np.zeros((c, max(width, 1)))
-        self.reachable = np.zeros(c, dtype=bool)
-        for i, (v, lw) in enumerate(zip(cell_values, cell_logw)):
-            if v.size:
-                self.values[i, :v.size] = v
-                self.weights[i, :v.size] = np.exp(lw)
-                self.reachable[i] = True
+    def __init__(self, cell_values, log_w):
+        atom = np.isfinite(cell_values) & np.isfinite(log_w)
+        self.values = np.where(atom, cell_values, 0.0)
+        self.weights = np.where(atom, np.exp(log_w), 0.0)
+        self.reachable = atom.any(axis=1)
         self.vmax = self.values.max(axis=1, where=self.weights > 0,
                                     initial=-np.inf)
         self.vmax = np.where(self.reachable, self.vmax, 0.0)
@@ -334,70 +330,78 @@ class _CompetitorTail:
         self.log_w_at_max = np.log(np.maximum(at_max.sum(axis=1), 1e-300))
         self.mean_cond = (self.weights * self.values).sum(axis=1) \
             / np.maximum(wsum, 1e-300)
-        # centered values keep exp(theta * v) bounded for large theta
-        self.centered = self.values - self.vmax[:, None]
-        self.theta = 1.0
+        # centered values keep exp(theta * v) bounded for large theta;
+        # absent and weightless atoms sit at 0 so they never overflow
+        self.centered = np.where(self.weights > 0,
+                                 self.values - self.vmax[:, None], 0.0)
 
     def _cgf(self, theta, counts):
-        e = self.weights * np.exp(theta * self.centered)
-        s0 = np.maximum(e.sum(axis=1), 1e-300)
-        s1 = (e * self.values).sum(axis=1) / s0
-        s2 = (e * self.values * self.values).sum(axis=1) / s0
-        k0 = float(counts @ (theta * self.vmax + np.log(s0)))
-        k1 = float(counts @ s1)
-        k2 = float(counts @ np.maximum(s2 - s1 * s1, 0.0))
+        """K(theta), K'(theta), K''(theta) of each row of counts, shape (rows,)."""
+        e = self.weights * np.exp(theta[:, None, None] * self.centered)
+        ev = e * self.values
+        s0 = np.maximum(e.sum(axis=2), 1e-300)
+        s1 = ev.sum(axis=2) / s0
+        s2 = (ev * self.values).sum(axis=2) / s0
+        k0 = (counts * (theta[:, None] * self.vmax + np.log(s0))).sum(axis=1)
+        k1 = (counts * s1).sum(axis=1)
+        k2 = (counts * np.maximum(s2 - s1 * s1, 0.0)).sum(axis=1)
         return k0, k1, k2
 
-    def log_tail(self, counts, threshold):
+    def log_tails(self, counts, thresholds):
+        """Log tails of an (rows, cells) count matrix against (rows,) thresholds.
+
+        Returns the log tails and each row's index into TAIL_REGIMES: a row
+        takes the first regime whose test it passes.  The saddlepoint solve
+        stops once every row has |K'(theta) - t| <= 1e-9 (1 + |t|), after
+        one more Newton step.
+        """
         counts = np.asarray(counts, dtype=float)
-        if np.any((counts > 0) & ~self.reachable):
-            return _NEG_INF  # an occupied cell no competitor can ever match
-        if counts.sum() == 0:
-            return 0.0 if threshold <= 0 else _NEG_INF
-        sup = float(counts @ self.vmax)
-        log_survival = float(counts @ self.log_wsum)
-        if threshold > sup + 1e-9:
-            return _NEG_INF
-        if threshold >= sup - 1e-9:
-            # mass concentrated exactly at the supremum
-            return float(counts @ self.log_w_at_max)
-        if threshold <= float(counts @ self.mean_cond):
-            return log_survival  # bulk regime: the survival probability
-        theta = min(max(self.theta, 1e-6), 200.0)
-        lo, hi = 0.0, np.inf
-        k0 = k1 = k2 = 0.0
+        t = np.asarray(thresholds, dtype=float)
+        out = np.zeros(t.size)
+        regime = np.full(t.size, -1)
+        log_survival = counts @ self.log_wsum
+        at_max = counts @ self.log_w_at_max  # mass exactly at the supremum
+
+        def settle(rows, name, value):
+            rows = rows & (regime < 0)
+            out[rows] = value[rows] if np.ndim(value) else value
+            regime[rows] = TAIL_REGIMES.index(name)
+
+        # an occupied cell no competitor can ever match
+        settle(((counts > 0) & ~self.reachable).any(axis=1), "unreachable", _NEG_INF)
+        settle(counts.sum(axis=1) == 0, "empty", np.where(t <= 0, 0.0, _NEG_INF))
+        settle(t > counts @ self.vmax + 1e-9, "above_sup", _NEG_INF)
+        settle(t >= counts @ self.vmax - 1e-9, "at_sup", at_max)
+        settle(t <= counts @ self.mean_cond, "bulk", log_survival)
+        hi = np.full(t.size, THETA_MAX)
+        settle(self._cgf(hi, counts)[1] < t, "overflow", at_max)
+        # K' rises from below t at 0 to at least t at THETA_MAX, so [lo, hi]
+        # brackets the saddlepoint of every row still unsettled
+        lo, theta = np.zeros(t.size), np.ones(t.size)
+        tol = 1e-9 * (1.0 + np.abs(t))
         for _ in range(60):
             k0, k1, k2 = self._cgf(theta, counts)
-            if abs(k1 - threshold) <= 1e-9 * (1.0 + abs(threshold)):
+            miss = (regime < 0) & (np.abs(k1 - t) > tol)
+            lo = np.where(miss & (k1 < t), theta, lo)
+            hi = np.where(miss & (k1 >= t), theta, hi)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = theta + (t - k1) / k2
+            newton = (k2 > 1e-300) & (lo < step) & (step < hi)
+            theta = np.where(newton, step, np.where(miss, 0.5 * (lo + hi), theta))
+            if not miss.any():
                 break
-            if k1 < threshold:
-                lo = theta
-            else:
-                hi = theta
-            if k2 > 1e-300:
-                step = theta + (threshold - k1) / k2
-            else:
-                step = np.inf
-            if lo < step < hi:
-                theta = step
-            elif np.isinf(hi):
-                theta = max(2.0 * theta, 1e-3)
-                if theta > 400.0:
-                    return float(counts @ self.log_w_at_max)
-            else:
-                theta = 0.5 * (lo + hi)
-        self.theta = theta
-        arg = 2.0 * (theta * threshold - k0)
-        if arg <= 0 or k2 <= 0:
-            return log_survival
-        w_lr = np.sqrt(arg)
-        u_lr = theta * np.sqrt(k2)
-        if u_lr < 1e-8 or w_lr < 1e-8:
-            return min(log_survival, np.log(0.5))
-        tail = ndtr(-w_lr) + np.exp(-0.5 * w_lr * w_lr) / np.sqrt(2 * np.pi) \
-            * (1.0 / u_lr - 1.0 / w_lr)
-        tail = min(max(tail, 1e-300), 1.0)
-        return min(np.log(tail), log_survival)
+        k0, k1, k2 = self._cgf(theta, counts)
+        arg = 2.0 * (theta * t - k0)
+        w_lr, u_lr = np.sqrt(np.maximum(arg, 0.0)), theta * np.sqrt(k2)
+        settle((arg <= 0) | (k2 <= 0), "arg_nonpositive", log_survival)
+        settle((u_lr < 1e-8) | (w_lr < 1e-8), "tiny_uw",
+               np.minimum(log_survival, np.log(0.5)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tail = ndtr(-w_lr) + np.exp(-0.5 * w_lr * w_lr) / np.sqrt(2 * np.pi) \
+                * (1.0 / u_lr - 1.0 / w_lr)
+            settle(regime < 0, "lugannani_rice",
+                   np.minimum(np.log(np.clip(tail, 1e-300, 1.0)), log_survival))
+        return out, regime
 
 
 # ---------------------------------------------------------------------------
@@ -585,10 +589,6 @@ def _trial_rng(master_seed, trial):
     return np.random.default_rng([int(master_seed), int(trial)])
 
 
-def _payoffs_for(game, s_seq, a_seq, b_seq):
-    return game.payoff[a_seq, b_seq, s_seq]
-
-
 def _fallback_actions(tables, rng, n):
     """A's play after an encoder failure, which leaves it blind to the states:
     the minimax mix of the prior-averaged game."""
@@ -630,14 +630,14 @@ def _run_exact_trial(tables, cfg, rate, rng, adversary):
     if adversary == "oblivious":
         b_seq = ObliviousAdversary(tables.oblivious_mixes(cfg.b_knows_state),
                                    rng).play_block(s_seq)
-        return _payoffs_for(game, s_seq, a_seq, b_seq), np.zeros(n), failed
+        return game.payoff[a_seq, b_seq, s_seq], np.zeros(n), failed
     informed = adversary == "decoder_with_state"
     prior_logw = (_rule_prior(idx, log_w, cfg.selection) if informed
                   else np.zeros(codebook.count))
     adv = ExactDecoderAdversary(game, scheme, codebook.sequences, prior_logw,
                                 sees_state_seq=informed)
     b_seq, decode = _decoder_play(tables, adv, s_seq, a_seq, true_idx)
-    return _payoffs_for(game, s_seq, a_seq, b_seq), decode, failed
+    return game.payoff[a_seq, b_seq, s_seq], decode, failed
 
 
 def _run_virtual_trial(tables, cfg, rate, rng, adversary):
@@ -704,7 +704,7 @@ def _run_virtual_trial(tables, cfg, rate, rng, adversary):
         pay, decode = _analytic_payoffs(tables, s_seq, a_seq, u_true, informed,
                                         log_n_codewords)
         return pay, decode, failed
-    return _payoffs_for(game, s_seq, a_seq, b_seq), decode, failed
+    return game.payoff[a_seq, b_seq, s_seq], decode, failed
 
 
 def _analytic_payoffs(tables, s_seq, a_seq, u_true, informed, log_n_codewords):
@@ -714,43 +714,39 @@ def _analytic_payoffs(tables, s_seq, a_seq, u_true, informed, log_n_codewords):
     atoms: cells keyed by (s, a) over the observed prefix and, for an
     informed adversary, by s alone over the unobserved suffix.  The decode
     probability after k steps approximates P(no competitor outweighs the
-    true codeword) through the saddlepoint tail of `_CompetitorTail`.
+    true codeword) through the saddlepoint tails of `_CompetitorTail`, all n
+    prefixes in one solve.
     """
-    n = len(s_seq)
     ns, na = tables.joint_sa.shape
-    log_pu = np.log(np.maximum(tables.p_u, 1e-300))
-    # fixed cell order: suffix cells s (informed only), then prefix (s, a)
-    prefix = tables.log_tilt if informed else tables.log_ps_u  # (u, s)
-    values = ([tables.log_tilt[:, s] for s in range(ns)] if informed else []) \
-        + [prefix[:, s] + tables.log_pa_u[:, a] for s in range(ns) for a in range(na)]
-    finite = [np.isfinite(v) for v in values]
-    tail = _CompetitorTail([v[f] for v, f in zip(values, finite)],
-                           [log_pu[f] for f in finite])
-    offset = ns if informed else 0
-    counts = np.zeros(len(values))
+    # cells by atom u, in a fixed order: suffix cells s (informed only), then
+    # prefix cells (s, a)
+    prefix = (tables.log_tilt if informed else tables.log_ps_u).T  # (s, u)
+    cells = (prefix[:, None, :] + tables.log_pa_u.T[None]).reshape(ns * na, -1)
     if informed:
-        counts[:ns] = np.bincount(s_seq, minlength=ns)
+        cells = np.vstack([tables.log_tilt.T, cells])
+    tail = _CompetitorTail(cells, np.log(np.maximum(tables.p_u, 1e-300)))
+    # competitor cell counts after each prefix length: step k adds a draw to
+    # its prefix cell, which an informed adversary takes from suffix cell s_k
+    eye = np.eye(len(cells))
+    counts = np.cumsum(eye[(ns if informed else 0) + s_seq * na + a_seq], axis=0)
+    if informed:
+        counts += eye[s_seq].sum(axis=0) - np.cumsum(eye[s_seq], axis=0)
     # the true codeword's log weight after each prefix length
     lik_steps = tables.log_pa_u[u_true, a_seq] if informed else \
         tables.log_ps_u[u_true, s_seq] + tables.log_pa_u[u_true, a_seq]
-    lik_cum = np.cumsum(lik_steps)
     tilt_total = tables.log_tilt[u_true, s_seq].sum() if informed else 0.0
-    decode = np.zeros(n)
-    for k in range(n):
-        counts[offset + s_seq[k] * na + a_seq[k]] += 1
-        if informed:
-            counts[s_seq[k]] -= 1
-        log_beats = log_n_codewords + tail.log_tail(counts, tilt_total + lik_cum[k])
-        decode[k] = 0.0 if log_beats > 700 else np.exp(-np.exp(log_beats))
+    log_beats = log_n_codewords + tail.log_tails(counts,
+                                                 tilt_total + np.cumsum(lik_steps))[0]
+    decode = np.where(log_beats > 700, 0.0,
+                      np.exp(-np.exp(np.minimum(log_beats, 700))))
     # A modelling step, not a derivation: until the adversary has decoded,
     # its posterior predictive is dominated by competitor codewords
     # uncorrelated with the truth, so it best-responds to the scheme
     # marginal; once decoded it exploits the codeword.  The two payoffs are
     # blended by the decode probability after the previous step.
-    pay_marg = _payoffs_for(tables.game, s_seq, a_seq,
-                            tables.marginal_br[int(informed), s_seq])
-    pay_dec = _payoffs_for(tables.game, s_seq, a_seq,
-                           tables.decoded_br[int(informed), s_seq, u_true])
+    payoff, row = tables.game.payoff, int(informed)
+    pay_marg = payoff[a_seq, tables.marginal_br[row, s_seq], s_seq]
+    pay_dec = payoff[a_seq, tables.decoded_br[row, s_seq, u_true], s_seq]
     shift = np.concatenate([[0.0], decode[:-1]])
     return (1.0 - shift) * pay_marg + shift * pay_dec, decode
 

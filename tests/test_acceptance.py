@@ -189,8 +189,8 @@ def test_property_payoff_monotone_in_rate():
         scheme = random_scheme(rng, n_states=2, card_u=3, n_actions=3)
         stats = scheme_statistics(game, scheme)
         informed = bool(rng.integers(2))
-        base = 0.0 if informed else stats.i_us
-        rates = base + np.sort(rng.uniform(0.0, 2.0, size=4))
+        # covering needs rate >= I(U;S) whether or not B sees the state
+        rates = stats.i_us + np.sort(rng.uniform(0.0, 2.0, size=4))
         payoffs = [theorem1_payoff(game, scheme, r, informed).payoff
                    for r in rates]
         assert all(b >= a - 1e-9 for a, b in zip(payoffs, payoffs[1:]))

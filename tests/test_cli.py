@@ -99,6 +99,18 @@ def test_bound_infeasible_rate_exit_code(erasure_file, scheme_file, capsys):
     assert "below I(U;S)" in capsys.readouterr().err
 
 
+def test_bound_rejects_nan_scheme_row(erasure_file, tmp_path, capsys):
+    """NaN is not a probability: the scheme file is refused, not scored."""
+    path = tmp_path / "nan.scheme"
+    path.write_text("p_u_given_s: [[.nan, .nan, .nan], [0.0, 0.5, 0.5]]\n"
+                    "p_a_given_u: [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.0, 1.0, 0.0]]\n")
+    assert main(["bound", erasure_file, "--rate", "0.7", "--b-knows-state",
+                 "--scheme", str(path)]) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert "non-finite" in captured.err
+    assert "payoff" not in captured.out
+
+
 def test_bound_optimize_emits_scheme(degenerate_file, tmp_path, capsys):
     out_path = tmp_path / "best.scheme"
     assert main(["bound", degenerate_file, "--rate", "0.5", "--optimize",

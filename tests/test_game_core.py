@@ -15,7 +15,7 @@ from statehelper import (
     game_value,
     solve_matrix_game,
 )
-from statehelper.game_core import optimal_state_strategy
+from statehelper.game_core import optimal_state_strategy, validate_prob_vector
 
 from conftest import random_game
 
@@ -191,6 +191,16 @@ def test_best_response_payoff_rejects_wrong_marginal(erasure_game):
     with pytest.raises(ContractViolationError):
         best_response_payoff(erasure_game, np.array([0.9, 0.1]), ident, mid,
                              b_sees_s=False, b_sees_u=False)
+
+
+@pytest.mark.parametrize("bad", ([np.nan, 0.5, 0.5], [np.inf, 0.0],
+                                 [[np.nan, np.nan], [0.5, 0.5]]))
+def test_non_finite_entries_are_not_probabilities(bad):
+    """NaN fails both the sign and the sum test, so it needs its own check."""
+    with pytest.raises(ContractViolationError, match="non-finite"):
+        ConditionalDistribution(np.atleast_2d(bad))
+    with pytest.raises(ContractViolationError, match="non-finite"):
+        validate_prob_vector(np.ravel(bad))
 
 
 def test_more_information_for_b_never_helps_a():

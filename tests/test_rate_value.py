@@ -129,6 +129,25 @@ def test_theorem1_matches_stats_arithmetic():
             assert abs(point.alpha - alpha) < 1e-12
 
 
+def test_theorem1_informed_needs_covering(erasure_game, optimal_scheme):
+    """An informed B does not spare the encoder the covering rate I(U;S)."""
+    i_us = scheme_statistics(erasure_game, optimal_scheme).i_us
+    assert abs(i_us - 0.5) < 1e-12
+    with pytest.raises(InfeasibleRateError, match="below I\\(U;S\\)"):
+        theorem1_payoff(erasure_game, optimal_scheme, 0.4, b_knows_state=True)
+    theorem1_payoff(erasure_game, optimal_scheme, i_us, b_knows_state=True)
+
+
+def test_optimize_bound_informed_respects_covering(erasure_game):
+    """Below the covering rate of the full-information scheme the informed
+    optimum must carry no more than the rate, so it stays far from the
+    both-informed value 3/4."""
+    scheme, point = optimize_bound(erasure_game, 0.1, True, 3,
+                                   BoundSearch(restarts=4))
+    assert scheme_statistics(erasure_game, scheme).i_us <= 0.1 + 1e-12
+    assert point.payoff < 0.25
+
+
 def test_zero_rate_constant_u_is_no_communication_value(erasure_game):
     none = SignalFunction.constant(2)
     blind = game_value(erasure_game, none, none)
@@ -230,6 +249,18 @@ def test_layered_infeasible_rate(erasure_game):
     lscheme = _nondegenerate_layered()
     with pytest.raises(InfeasibleRateError):
         layered_payoff(erasure_game, lscheme, 0.01, b_knows_state=False)
+
+
+def test_layered_informed_needs_covering(erasure_game):
+    lscheme = _nondegenerate_layered()
+    joint = lscheme.joint(erasure_game.prior)
+    from statehelper import JointDistribution, mutual_information
+    i_u12_s = mutual_information(JointDistribution(joint.marginal((0, 1, 2))),
+                                 (0,), (1, 2))
+    with pytest.raises(InfeasibleRateError, match="I\\(U1,U2;S\\)"):
+        layered_payoff(erasure_game, lscheme, i_u12_s - 0.01, b_knows_state=True)
+    result = layered_payoff(erasure_game, lscheme, i_u12_s + 0.01, True)
+    assert np.isfinite(result.payoff)
 
 
 def test_degenerate_rd_endpoints():
