@@ -153,6 +153,13 @@ def _softmax(z, axis=-1):
     return e / e.sum(axis=axis, keepdims=True)
 
 
+def _pad_rows(rows, n_rows):
+    """rows extended to n_rows with uniform rows."""
+    out = np.full((n_rows, rows.shape[1]), 1.0 / rows.shape[1])
+    out[:rows.shape[0]] = rows
+    return out
+
+
 def _unpack(theta, nu, ns, na):
     zu = theta[:nu]
     zs = theta[nu:nu + nu * ns].reshape(nu, ns)
@@ -203,11 +210,6 @@ def _seed_points(target, nu, rng, restarts):
     pa_marg = target.sum(axis=0)
     seeds = []
 
-    def pad_rows(rows, n_rows):
-        out = np.full((n_rows, rows.shape[1]), 1.0 / rows.shape[1])
-        out[:rows.shape[0]] = rows
-        return out
-
     def pad_vec(v, n):
         out = np.full(n, 1e-9)
         out[:v.size] = v
@@ -217,19 +219,19 @@ def _seed_points(target, nu, rng, restarts):
         a_given_s = np.where(ps_marg[:, None] > 0, target / ps_marg[:, None], 1.0 / na)
         s_given_a = np.where(pa_marg[None, :] > 0, target / pa_marg[None, :], 1.0 / ns).T
     if nu >= ns:  # U = S
-        seeds.append((pad_vec(ps_marg, nu), pad_rows(np.eye(ns), nu),
-                      pad_rows(a_given_s, nu)))
+        seeds.append((pad_vec(ps_marg, nu), _pad_rows(np.eye(ns), nu),
+                      _pad_rows(a_given_s, nu)))
     if nu >= na:  # U = A
-        seeds.append((pad_vec(pa_marg, nu), pad_rows(s_given_a, nu),
-                      pad_rows(np.eye(na), nu)))
+        seeds.append((pad_vec(pa_marg, nu), _pad_rows(s_given_a, nu),
+                      _pad_rows(np.eye(na), nu)))
     if nu >= ns * na:  # U = (S, A)
         pu = pad_vec(target.ravel(), nu)
-        ps = pad_rows(np.repeat(np.eye(ns), na, axis=0), nu)
-        pa = pad_rows(np.tile(np.eye(na), (ns, 1)), nu)
+        ps = _pad_rows(np.repeat(np.eye(ns), na, axis=0), nu)
+        pa = _pad_rows(np.tile(np.eye(na), (ns, 1)), nu)
         seeds.append((pu, ps, pa))
     # U constant (feasible only for product targets, filtered later)
     seeds.append((pad_vec(np.array([1.0]), nu),
-                  pad_rows(ps_marg[None, :], nu), pad_rows(pa_marg[None, :], nu)))
+                  _pad_rows(ps_marg[None, :], nu), _pad_rows(pa_marg[None, :], nu)))
     while len(seeds) < restarts:
         pu = rng.dirichlet(np.ones(nu))
         ps = rng.dirichlet(np.ones(ns), size=nu)

@@ -17,7 +17,6 @@ from .errors import ContractViolationError, InfeasibleRateError
 from .game_core import (
     ConditionalDistribution,
     Game,
-    min_payoff_given_observation,
     optimal_state_strategy,
     solve_matrix_game,
     validate_prob_vector,
@@ -25,9 +24,15 @@ from .game_core import (
 from .info_measures import (
     JointDistribution,
     _entropy_bits,
+    _pad_rows,
+    _softmax,
     binary_entropy,
-    conditional_mutual_information,
     inverse_binary_entropy,
+)
+# unused here; bench/spans.py wraps these names in this module
+from .game_core import min_payoff_given_observation  # noqa: F401
+from .info_measures import (  # noqa: F401
+    conditional_mutual_information,
     mutual_information,
 )
 
@@ -56,9 +61,8 @@ class Scheme:
         prior = validate_prob_vector(prior, what="prior")
         if prior.size != self.p_u_given_s.from_size:
             raise ContractViolationError("scheme state cardinality does not match prior")
-        m = (prior[:, None, None] * self.p_u_given_s.rows[:, :, None]
-             * self.p_a_given_u.rows[None, :, :])
-        return JointDistribution(m)
+        return JointDistribution(_joint_mass(prior, self.p_u_given_s.rows,
+                                             self.p_a_given_u.rows))
 
     def p_u(self, prior):
         return np.asarray(prior, dtype=float) @ self.p_u_given_s.rows
@@ -145,15 +149,19 @@ class RateValuePoint:
     b_knows_state: bool
 
 
-def _stats_kernel(prior, p_u_s, p_a_u, payoff) -> SchemeStats:
-    """All Theorem-1 inputs from arrays: the one copy of the formulas.
+def _joint_mass(prior, p_u_s, p_a_u):
+    """The (s, u, a) mass prior(s) p(u|s) p(a|u), not renormalized."""
+    return prior[:, None, None] * p_u_s[:, :, None] * p_a_u[None, :, :]
 
-    prior (s,), the rows p(u|s) (s, u) and p(a|u) (u, a) must already be
-    probability vectors and row-stochastic; payoff is indexed [a, b, s].
-    Nothing is checked, so callers outside the optimizer go through
+
+def _stats_kernel(m, payoff) -> SchemeStats:
+    """All Theorem-1 inputs from an (s, u, a) joint: the one copy of the formulas.
+
+    m is a nonnegative tensor summing to 1 (layered_payoff passes U = U1 and
+    U = (U1, U2) marginals); payoff is indexed [a, b, s].  Nothing is
+    checked, so callers outside the optimizer and layered_payoff go through
     scheme_statistics.
     """
-    m = prior[:, None, None] * p_u_s[:, :, None] * p_a_u[None, :, :]  # (s, u, a)
     p_su = m.sum(axis=2)
     p_sa = m.sum(axis=1)
     h_s = _entropy_bits(p_su.sum(axis=1))
@@ -180,8 +188,8 @@ def scheme_statistics(game: Game, scheme: Scheme) -> SchemeStats:
     if scheme.p_a_given_u.to_size != game.n_actions_a:
         raise ContractViolationError("scheme action cardinality does not match game")
     scheme.joint(game.prior)  # validates the prior against the scheme
-    return _stats_kernel(game.prior, scheme.p_u_given_s.rows,
-                         scheme.p_a_given_u.rows, game.payoff)
+    return _stats_kernel(_joint_mass(game.prior, scheme.p_u_given_s.rows,
+                                     scheme.p_a_given_u.rows), game.payoff)
 
 
 def _covering_gap(rate: float, i_cover: float) -> float:
@@ -248,13 +256,8 @@ class BoundSearch:
 
 def _softmax_rows(theta, ns, nu, na):
     """The rows p(u|s) and p(a|u) that the optimizer's logits theta encode."""
-    def softmax(z):
-        z = z - z.max(axis=-1, keepdims=True)
-        e = np.exp(z)
-        return e / e.sum(axis=-1, keepdims=True)
-
-    return (softmax(theta[:ns * nu].reshape(ns, nu)),
-            softmax(theta[ns * nu:].reshape(nu, na)))
+    return (_softmax(theta[:ns * nu].reshape(ns, nu)),
+            _softmax(theta[ns * nu:].reshape(nu, na)))
 
 
 def _scheme_from_logits(theta, ns, nu, na):
@@ -277,20 +280,16 @@ def _optimizer_seeds(game: Game, rate, card_u, rng, restarts):
         out[:, :rows.shape[1]] += rows
         return out / out.sum(axis=1, keepdims=True)
 
-    def pad_rows(rows, n_rows):
-        out = np.full((n_rows, rows.shape[1]), 1.0 / rows.shape[1])
-        out[:rows.shape[0]] = rows
-        return out
-
     avg = solve_matrix_game(game.averaged_matrix())
     no_info_mix = avg.strategy_a.rows[0]
     per_state = optimal_state_strategy(game)
     # U constant, A plays the averaged-game minimax mix
-    seeds.append((pad_cols(np.ones((ns, 1)), card_u), pad_rows(no_info_mix[None, :], card_u)))
+    seeds.append((pad_cols(np.ones((ns, 1)), card_u),
+                  _pad_rows(no_info_mix[None, :], card_u)))
     if card_u >= ns:  # U = S, A plays the per-state optimal mixes
-        seeds.append((pad_cols(np.eye(ns), card_u), pad_rows(per_state, card_u)))
+        seeds.append((pad_cols(np.eye(ns), card_u), _pad_rows(per_state, card_u)))
     if card_u >= na:  # U = the optimal action channel, A repeats U
-        seeds.append((pad_cols(per_state, card_u), pad_rows(np.eye(na), card_u)))
+        seeds.append((pad_cols(per_state, card_u), _pad_rows(np.eye(na), card_u)))
     target = max(restarts, len(seeds))
     while len(seeds) < target:
         seeds.append((rng.dirichlet(np.ones(card_u), size=ns),
@@ -315,8 +314,8 @@ def optimize_bound(game: Game, rate: float, b_knows_state: bool, card_u: int,
                                  np.log(np.clip(pa0, 1e-9, None)).ravel()])
 
         def neg_obj(theta):
-            stats = _stats_kernel(game.prior, *_softmax_rows(theta, ns, card_u, na),
-                                  game.payoff)
+            m = _joint_mass(game.prior, *_softmax_rows(theta, ns, card_u, na))
+            stats = _stats_kernel(m, game.payoff)
             return -_penalized_payoff(stats, rate, b_knows_state,
                                       search.infeasibility_penalty)
 
@@ -345,39 +344,6 @@ class LayeredPayoffResult:
     alpha2_exceeds_block: bool = False
 
 
-def _layered_functionals(game, joint, b_knows_state):
-    """Payoff functionals as B successively learns U1 then U2 (axes s,u1,u2,a)."""
-    base = (0,) if b_knows_state else ()
-    m = joint.mass
-    f0 = min_payoff_given_observation(m, game.payoff, a_axis=3, s_axis=0,
-                                      observed_axes=base)
-    f1 = min_payoff_given_observation(m, game.payoff, a_axis=3, s_axis=0,
-                                      observed_axes=base + (1,))
-    f2 = min_payoff_given_observation(m, game.payoff, a_axis=3, s_axis=0,
-                                      observed_axes=base + (1, 2))
-    return f0, f1, f2
-
-
-def _marginalized_scheme(lscheme: LayeredScheme, prior, drop_layer: int) -> Scheme:
-    """Collapse a degenerate layer; only valid when that layer carries no information."""
-    joint = lscheme.joint(prior).mass  # (s, u1, u2, a)
-    if drop_layer == 2:
-        keep = joint.sum(axis=2)  # (s, u1, a)
-    else:
-        keep = joint.sum(axis=1)  # (s, u2, a)
-    p_su = keep.sum(axis=2)  # (s, u)
-    p_s = p_su.sum(axis=1)
-    p_u = p_su.sum(axis=0)
-    p_ua = keep.sum(axis=0)  # (u, a)
-    nu, na = p_ua.shape
-    # zero-mass states and symbols carry no joint mass; give them uniform rows
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p_u_given_s = np.where(p_s[:, None] > 0, p_su / p_s[:, None], 1.0 / nu)
-        p_a_given_u = np.where(p_u[:, None] > 0, p_ua / p_u[:, None], 1.0 / na)
-    return Scheme(ConditionalDistribution(p_u_given_s),
-                  ConditionalDistribution(p_a_given_u))
-
-
 def layered_payoff(game: Game, lscheme: LayeredScheme, rate: float,
                    b_knows_state: bool) -> LayeredPayoffResult:
     """Three-phase achievable payoff of the layered scheme.
@@ -385,8 +351,11 @@ def layered_payoff(game: Game, lscheme: LayeredScheme, rate: float,
     The thresholds alpha1, alpha2 split the block into a fully mixed phase,
     a U1-revealed phase, and a fully revealed phase.  The linear three-phase
     payoff combination is reported with both thresholds so it can be audited.
-    A scheme with a degenerate layer reduces exactly to the single-auxiliary
-    bound.  Rates below I(U1,U2;S) raise InfeasibleRateError, except that an
+    Every quantity is Theorem 1's for U = U1 or U = (U1, U2), the second
+    layer's by the chain rule.  Rates below I(U1,U2;S) raise
+    InfeasibleRateError whether or not B knows the state.  A degenerate layer
+    reduces exactly to the single-auxiliary bound: on U1 (covering I(U1;S))
+    when U2 adds nothing, on (U1, U2) when U1 alone reveals nothing.  An
     ignorant-B scheme whose second layer would be decoded before its first
     reports no_benefit and claims no payoff.
     """
@@ -394,41 +363,39 @@ def layered_payoff(game: Game, lscheme: LayeredScheme, rate: float,
         raise ContractViolationError("layered scheme state cardinality does not match game")
     if lscheme.p_a_given_u1_u2.to_size != game.n_actions_a:
         raise ContractViolationError("layered scheme action cardinality does not match game")
-    joint = lscheme.joint(game.prior)  # (s, u1, u2, a)
-    i_u1_s = mutual_information(JointDistribution(joint.marginal((0, 1))), (0,), (1,))
-    i_u1_sa = mutual_information(JointDistribution(joint.marginal((0, 1, 3))),
-                                 (1,), (0, 2))
-    i_u2_sa_given_u1 = conditional_mutual_information(joint, (2,), (0, 3), (1,))
-    i_u12_s = mutual_information(JointDistribution(joint.marginal((0, 1, 2))),
-                                 (0,), (1, 2))
-    i_u2_a_given_u1s = conditional_mutual_information(joint, (2,), (3,), (0, 1))
+    m = lscheme.joint(game.prior).mass  # (s, u1, u2, a)
+    ns, n1, n2, na = m.shape
+    st1 = _stats_kernel(m.sum(axis=2), game.payoff)
+    st12 = _stats_kernel(m.reshape(ns, n1 * n2, na), game.payoff)
+    # chain rule: I(U2;S,A|U1) = I(U1,U2;S,A) - I(U1;S,A)
+    i_u2_sa_given_u1 = max(st12.i_usa - st1.i_usa, 0.0)
 
     # a degenerate layer reduces exactly to the single-auxiliary bound
     if i_u2_sa_given_u1 <= 1e-9:
-        point = theorem1_payoff(game, _marginalized_scheme(lscheme, game.prior, 2),
-                                rate, b_knows_state)
-        return LayeredPayoffResult(point.payoff, point.alpha, point.alpha)
-    if i_u1_sa <= 1e-9:
-        point = theorem1_payoff(game, _marginalized_scheme(lscheme, game.prior, 1),
-                                rate, b_knows_state)
-        return LayeredPayoffResult(point.payoff, 0.0, point.alpha)
+        _require_covering(rate, st1.i_us, "I(U1;S)")
+        alpha, payoff = _bound_payoff(st1, rate, b_knows_state)
+        return LayeredPayoffResult(float(payoff), float(alpha), float(alpha))
+    _require_covering(rate, st12.i_us, "I(U1,U2;S)")
+    if st1.i_usa <= 1e-9:
+        alpha, payoff = _bound_payoff(st12, rate, b_knows_state)
+        return LayeredPayoffResult(float(payoff), 0.0, float(alpha))
 
     if b_knows_state:
         alpha1 = 0.0
-        raw_alpha2 = (max(rate - i_u12_s, 0.0) / i_u2_a_given_u1s
+        # chain rule: I(U2;A|U1,S) = I(U1,U2;A|S) - I(U1;A|S)
+        i_u2_a_given_u1s = max(st12.i_ua_given_s - st1.i_ua_given_s, 0.0)
+        raw_alpha2 = ((rate - st12.i_us) / i_u2_a_given_u1s
                       if i_u2_a_given_u1s > INFO_TOL else np.inf)
+        f0, f1, f2 = st1.pi_low_s, st1.pi_low_su, st12.pi_low_su
     else:
-        _require_covering(rate, i_u1_s, "I(U1;S)")
-        alpha1 = _clamped_ratio(i_u1_s, i_u1_sa)
-        raw_alpha2 = ((rate - i_u1_s) / i_u2_sa_given_u1
-                      if i_u2_sa_given_u1 > INFO_TOL else np.inf)
+        alpha1 = _clamped_ratio(st1.i_us, st1.i_usa)
+        raw_alpha2 = (rate - st1.i_us) / i_u2_sa_given_u1
+        f0, f1, f2 = st1.pi_low, st1.pi_low_u, st12.pi_low_u
     alpha2 = min(max(raw_alpha2, 0.0), 1.0)
     exceeds = raw_alpha2 > 1.0
-    if alpha1 > alpha2:  # no payoff is claimed, so covering is moot
+    if alpha1 > alpha2:
         return LayeredPayoffResult(payoff=np.nan, alpha1=alpha1, alpha2=alpha2,
                                    no_benefit=True, alpha2_exceeds_block=exceeds)
-    _require_covering(rate, i_u12_s, "I(U1,U2;S)")
-    f0, f1, f2 = _layered_functionals(game, joint, b_knows_state)
     payoff = alpha1 * f0 + (alpha2 - alpha1) * f1 + (1 - alpha2) * f2
     return LayeredPayoffResult(payoff=float(payoff), alpha1=float(alpha1),
                                alpha2=float(alpha2), alpha2_exceeds_block=exceeds)

@@ -28,8 +28,13 @@ import numpy as np
 from scipy.special import gammaln, ndtr
 
 from .errors import CapacityError, ContractViolationError, InfeasibleRateError
-from .game_core import Game, optimal_state_strategy, solve_matrix_game
-from .rate_value import Scheme
+from .game_core import (
+    ConditionalDistribution,
+    Game,
+    optimal_state_strategy,
+    solve_matrix_game,
+)
+from .rate_value import Scheme, scheme_statistics
 
 DEFAULT_CODEBOOK_CAP = 1 << 22  # total symbols: count * n
 DEFAULT_EPSILON = 0.05
@@ -833,13 +838,10 @@ def deterministic_baseline(game: Game, rate: float, n: int, trials: int,
     the states can reproduce the choice and anticipate every action.  The
     target p(A|S) is the per-state minimax strategy, which must fit the rate.
     """
-    from .game_core import ConditionalDistribution
     per_state = optimal_state_strategy(game)
     scheme = Scheme(ConditionalDistribution(per_state),
                     ConditionalDistribution(np.eye(game.n_actions_a)))
-    from .info_measures import JointDistribution, mutual_information
-    joint = scheme.joint(game.prior)
-    i_sa = mutual_information(JointDistribution(joint.marginal((0, 2))), (0,), (1,))
+    i_sa = scheme_statistics(game, scheme).i_us  # U = A
     if rate < i_sa - 1e-9:
         raise InfeasibleRateError(
             f"rate {rate} below I(S;A)={i_sa:.4f} of the optimal strategy channel")

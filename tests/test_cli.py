@@ -5,6 +5,8 @@ import pytest
 
 from statehelper import (
     CapacityError,
+    ConditionalDistribution,
+    LayeredScheme,
     cli,
     parse_scheme,
     serialize_game,
@@ -97,6 +99,26 @@ def test_bound_infeasible_rate_exit_code(erasure_file, scheme_file, capsys):
     assert main(["bound", erasure_file, "--rate", "0.1",
                  "--scheme", scheme_file]) == 3
     assert "below I(U;S)" in capsys.readouterr().err
+
+
+def test_bound_layered_below_joint_covering_exit_code(erasure_file, tmp_path,
+                                                      capsys):
+    """A layered scheme needs I(U1,U2;S) = 0.487 to cover the state even for
+    an ignorant B; 0.4 lies above I(U1;S) = 0.278 but below it."""
+    layered = LayeredScheme(
+        p_u1_given_s=ConditionalDistribution(np.array([[0.8, 0.2], [0.2, 0.8]])),
+        p_u2_given_u1_s=ConditionalDistribution(
+            np.array([[0.9, 0.1], [0.3, 0.7], [0.7, 0.3], [0.1, 0.9]])),
+        p_a_given_u1_u2=ConditionalDistribution(
+            np.array([[0.9, 0.05, 0.05], [0.5, 0.3, 0.2], [0.2, 0.3, 0.5],
+                      [0.05, 0.05, 0.9]])))
+    path = tmp_path / "layered.scheme"
+    path.write_text(serialize_scheme(layered))
+    assert main(["bound", erasure_file, "--rate", "0.4",
+                 "--scheme", str(path)]) == cli.EXIT_INFEASIBLE
+    captured = capsys.readouterr()
+    assert "I(U1,U2;S)" in captured.err
+    assert "payoff" not in captured.out
 
 
 def test_bound_rejects_nan_scheme_row(erasure_file, tmp_path, capsys):

@@ -12,6 +12,7 @@ from statehelper import (
     Game,
     InfeasibleRateError,
     JointDistribution,
+    LayeredPayoffResult,
     LayeredScheme,
     Scheme,
     SignalFunction,
@@ -31,8 +32,9 @@ from statehelper import (
 from statehelper import rate_value
 from statehelper.game_core import min_payoff_given_observation
 from statehelper.rate_value import (
+    INFO_TOL,
+    RATE_TOL,
     SchemeStats,
-    _marginalized_scheme,
     _penalized_payoff,
     _scheme_from_logits,
     _softmax_rows,
@@ -230,19 +232,38 @@ def test_layered_nondegenerate_structure(erasure_game):
     assert np.isfinite(result.payoff)
 
 
-def test_layered_no_benefit_flag(erasure_game):
-    """Ignorant B at a rate barely above I(U1;S) leaves no room for layer 2."""
+def test_layered_ignorant_needs_covering(erasure_game):
+    """Ignorant B at a rate barely above I(U1;S) still needs I(U1,U2;S) to
+    cover the state, so the scheme is infeasible rather than of no benefit."""
     lscheme = _nondegenerate_layered()
     joint = lscheme.joint(erasure_game.prior)
-    from statehelper import JointDistribution, mutual_information
     i_u1_s = mutual_information(JointDistribution(joint.marginal((0, 1))),
                                 (0,), (1,))
-    result = layered_payoff(erasure_game, lscheme, i_u1_s + 1e-6,
-                            b_knows_state=False)
-    if result.no_benefit:
-        assert np.isnan(result.payoff)
-    else:
-        assert result.alpha1 <= result.alpha2
+    assert abs(i_u1_s - 0.27807) < 1e-5
+    for rate in (i_u1_s + 1e-6, 0.4):
+        with pytest.raises(InfeasibleRateError, match="I\\(U1,U2;S\\)"):
+            layered_payoff(erasure_game, lscheme, rate, b_knows_state=False)
+
+
+def _late_second_layer():
+    """U1 = S and U2 a fair coin per (u1, s) that picks A's action.  An
+    ignorant B decodes U1 at alpha1 = 1, after U2's alpha2 = rate - 1."""
+    p_u1 = ConditionalDistribution(np.eye(2))
+    p_u2 = ConditionalDistribution(np.full((4, 2), 0.5))
+    p_a = ConditionalDistribution(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                                            [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))
+    return LayeredScheme(p_u1_given_s=p_u1, p_u2_given_u1_s=p_u2,
+                         p_a_given_u1_u2=p_a)
+
+
+def test_layered_no_benefit_flag(erasure_game):
+    """A covered ignorant-B scheme whose second layer is decoded before its
+    first claims no payoff."""
+    lscheme = _late_second_layer()
+    for rate in np.linspace(1.0, 1.6, 7):
+        result = layered_payoff(erasure_game, lscheme, rate, b_knows_state=False)
+        assert result.no_benefit and np.isnan(result.payoff)
+        assert result.alpha1 > result.alpha2
 
 
 def test_layered_infeasible_rate(erasure_game):
@@ -369,8 +390,9 @@ def test_property_objective_on_rows_matches_scheme_path(pair, rate, informed, se
     penalty = BoundSearch().infeasibility_penalty
 
     def objective(p_u_s, p_a_u):  # what the optimizer evaluates
-        stats = _stats_kernel(game.prior, p_u_s, p_a_u, game.payoff)
-        return _penalized_payoff(stats, rate, informed, penalty)
+        m = game.prior[:, None, None] * p_u_s[:, :, None] * p_a_u[None]
+        return _penalized_payoff(_stats_kernel(m, game.payoff), rate, informed,
+                                 penalty)
 
     def checked(s):  # what picks and certifies the winner
         return _penalized_payoff(scheme_statistics(game, s), rate, informed,
@@ -441,6 +463,36 @@ def test_property_zero_mass_symbols(pair):
     assert all(np.isfinite(getattr(stats, name)) for name in STATS_FIELDS)
 
 
+def _marginalized_scheme(lscheme: LayeredScheme, prior, drop_layer: int) -> Scheme:
+    """Collapse a degenerate layer; only valid when that layer carries no information."""
+    joint = lscheme.joint(prior).mass  # (s, u1, u2, a)
+    if drop_layer == 2:
+        keep = joint.sum(axis=2)  # (s, u1, a)
+    else:
+        keep = joint.sum(axis=1)  # (s, u2, a)
+    p_su = keep.sum(axis=2)  # (s, u)
+    p_s = p_su.sum(axis=1)
+    p_u = p_su.sum(axis=0)
+    p_ua = keep.sum(axis=0)  # (u, a)
+    nu, na = p_ua.shape
+    # zero-mass states and symbols carry no joint mass; give them uniform rows
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p_u_given_s = np.where(p_s[:, None] > 0, p_su / p_s[:, None], 1.0 / nu)
+        p_a_given_u = np.where(p_u[:, None] > 0, p_ua / p_u[:, None], 1.0 / na)
+    return Scheme(ConditionalDistribution(p_u_given_s),
+                  ConditionalDistribution(p_a_given_u))
+
+
+def _merged_scheme(lscheme: LayeredScheme) -> Scheme:
+    """The layered scheme as a single-auxiliary one with U = (U1, U2)."""
+    ns, n1, n2 = (lscheme.p_u1_given_s.from_size, lscheme.card_u1,
+                  lscheme.card_u2)
+    p2 = lscheme.p_u2_given_u1_s.rows.reshape(n1, ns, n2)
+    p_u_s = np.einsum("su,usv->suv", lscheme.p_u1_given_s.rows, p2)
+    return Scheme(ConditionalDistribution(p_u_s.reshape(ns, n1 * n2)),
+                  ConditionalDistribution(lscheme.p_a_given_u1_u2.rows))
+
+
 def _constant_layer(scheme, n_states, layer):
     """The scheme as a layered one whose U1 or U2 layer is constant."""
     rows_u, rows_a = scheme.p_u_given_s.rows, scheme.p_a_given_u.rows
@@ -488,4 +540,225 @@ def test_property_degenerate_layer_reduces_to_theorem1(pair, layer, rate, inform
     result = layered_payoff(game, lscheme, rate, informed)
     assert _close(result.payoff, expected.payoff)
     assert abs(result.alpha2 - expected.alpha) <= 1e-12
-    assert result.alpha1 == (expected.alpha if layer == 2 else 0.0)
+    # one threshold: a degenerate second layer is decoded with the first
+    assert result.alpha1 == (result.alpha2 if layer == 2 else 0.0)
+
+
+def test_degenerate_first_layer_is_theorem1_on_both_layers(erasure_game):
+    """U1 a fair coin, U2 = (S xor U1, N) with N a fair coin, and A the
+    state-matching action when N = 0, else e.  U1 alone says nothing about
+    (S, A), but together with U2 it reveals S.  The bound is Theorem 1 on
+    U = (U1, U2), which needs a full bit to cover the state and is decoded
+    at alpha = R / I(U1,U2;S,A) = R / 2 by an ignorant B.  U2 alone has
+    I(U2;S,A) = 1, so reducing to it would claim alpha = 1 and payoff 1.0
+    at rate 1 instead of 0.5."""
+    p_u2 = np.zeros((4, 4))
+    p_a = np.zeros((8, 3))
+    for u1 in range(2):
+        for s in range(2):
+            p_u2[u1 * 2 + s, 2 * (s ^ u1):2 * (s ^ u1) + 2] = 0.5
+        for u2 in range(4):
+            state, n = u1 ^ (u2 // 2), u2 % 2
+            p_a[u1 * 4 + u2, 1 if n else 2 * state] = 1.0
+    lscheme = LayeredScheme(p_u1_given_s=ConditionalDistribution(np.full((2, 2), 0.5)),
+                            p_u2_given_u1_s=ConditionalDistribution(p_u2),
+                            p_a_given_u1_u2=ConditionalDistribution(p_a))
+    for informed in (True, False):
+        with pytest.raises(InfeasibleRateError, match="I\\(U1,U2;S\\)"):
+            layered_payoff(erasure_game, lscheme, 0.5, informed)
+        for rate in (1.0, 1.5):
+            base = theorem1_payoff(erasure_game, _merged_scheme(lscheme), rate, informed)
+            result = layered_payoff(erasure_game, lscheme, rate, informed)
+            assert result.alpha1 == 0.0
+            assert _close(result.payoff, base.payoff)
+            assert abs(result.alpha2 - base.alpha) <= 1e-12
+    result = layered_payoff(erasure_game, lscheme, 1.0, False)
+    assert abs(result.alpha2 - 0.5) < 1e-12 and abs(result.payoff - 0.5) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# layered_payoff against the measure-by-measure formulas
+
+LAYER_DEGENERATE = 1e-9
+
+
+@st.composite
+def games_and_layered_schemes(draw):
+    """|S|, |U1|, |U2|, |A|, |B| in 1..3 (a one-symbol layer is constant)
+    with zero-prior states, symbols of zero mass and forbidden payoffs.  Two
+    kinds of draw keep both layers and A non-constant, and one of them takes
+    U1 = S, so that alpha1 = 1 and the second layer can come too early."""
+    kind = draw(st.sampled_from(("any", "two_layers", "u1_is_s")))
+    ns, n1, n2, na, nb = (draw(st.integers(1, 3)) for _ in range(5))
+    if kind != "any":
+        n1, n2, na = (draw(st.integers(2, 3)) for _ in range(3))
+    if kind == "u1_is_s":
+        n1 = ns
+
+    def rows(count, size):
+        weights = np.array(draw(st.lists(st.integers(0, 4), min_size=count * size,
+                                         max_size=count * size)),
+                           dtype=float).reshape(count, size)
+        weights[~weights.any(axis=1), 0] = 1.0
+        return weights / weights.sum(axis=1, keepdims=True)
+
+    cell = st.one_of(st.just(FORBIDDEN), st.floats(-3.0, 3.0))
+    payoff = np.array(draw(st.lists(cell, min_size=na * nb * ns,
+                                    max_size=na * nb * ns))).reshape(na, nb, ns)
+    game = Game(states=tuple(str(s) for s in range(ns)), prior=rows(1, ns)[0],
+                actions_a=tuple(f"a{a}" for a in range(na)),
+                actions_b=tuple(f"b{b}" for b in range(nb)),
+                payoff=payoff, neg_inf_value=FORBIDDEN)
+    lscheme = LayeredScheme(
+        p_u1_given_s=ConditionalDistribution(
+            np.eye(ns) if kind == "u1_is_s" else rows(ns, n1)),
+        p_u2_given_u1_s=ConditionalDistribution(rows(n1 * ns, n2)),
+        p_a_given_u1_u2=ConditionalDistribution(rows(n1 * n2, na)))
+    return game, lscheme
+
+
+def _reference_layered(game, lscheme, rate, informed):
+    """layered_payoff through five JointDistribution measures, three
+    best-response minima and rebuilt single-auxiliary schemes, under the one
+    I(U1,U2;S) covering rule.
+
+    Returns the result and a record of the five measures, the denominators
+    of alpha1 and alpha2 (inf where the threshold is fixed), the largest
+    functional in absolute value and, for three phases, the unclamped
+    alpha2."""
+    joint = lscheme.joint(game.prior)  # (s, u1, u2, a)
+    i = dict(
+        u1_s=mutual_information(JointDistribution(joint.marginal((0, 1))), (0,), (1,)),
+        u1_sa=mutual_information(JointDistribution(joint.marginal((0, 1, 3))),
+                                 (1,), (0, 2)),
+        u2_sa_given_u1=conditional_mutual_information(joint, (2,), (0, 3), (1,)),
+        u12_s=mutual_information(JointDistribution(joint.marginal((0, 1, 2))),
+                                 (0,), (1, 2)),
+        u2_a_given_u1s=conditional_mutual_information(joint, (2,), (3,), (0, 1)))
+
+    def reduced(scheme, first_layer_too):
+        point = theorem1_payoff(game, scheme, rate, informed)
+        stats = scheme_statistics(game, scheme)
+        den = stats.i_ua_given_s if informed else stats.i_usa
+        i.update(den1=den if first_layer_too else np.inf, den2=den,
+                 fmax=max(abs(stats.pi_low_s), abs(stats.pi_low_su)) if informed
+                 else max(abs(stats.pi_low), abs(stats.pi_low_u)))
+        alpha1 = point.alpha if first_layer_too else 0.0
+        return LayeredPayoffResult(point.payoff, alpha1, point.alpha), i
+
+    if i["u2_sa_given_u1"] <= LAYER_DEGENERATE:
+        return reduced(_marginalized_scheme(lscheme, game.prior, 2), True)
+    if i["u12_s"] - rate > RATE_TOL:
+        raise InfeasibleRateError("below I(U1,U2;S)")
+    if i["u1_sa"] <= LAYER_DEGENERATE:
+        return reduced(_merged_scheme(lscheme), False)
+    base = (0,) if informed else ()
+    f = [min_payoff_given_observation(joint.mass, game.payoff, a_axis=3, s_axis=0,
+                                      observed_axes=base + extra)
+         for extra in ((), (1,), (1, 2))]
+    if informed:
+        alpha1, den1, den2 = 0.0, np.inf, i["u2_a_given_u1s"]
+        raw = (rate - i["u12_s"]) / den2 if den2 > INFO_TOL else np.inf
+    else:
+        den1, den2 = i["u1_sa"], i["u2_sa_given_u1"]
+        alpha1 = min(i["u1_s"] / den1, 1.0)
+        raw = (rate - i["u1_s"]) / den2
+    i.update(den1=den1, den2=den2, raw=raw, fmax=max(abs(v) for v in f))
+    alpha2 = min(max(raw, 0.0), 1.0)
+    if alpha1 > alpha2:
+        return LayeredPayoffResult(np.nan, alpha1, alpha2, True, raw > 1.0), i
+    payoff = alpha1 * f[0] + (alpha2 - alpha1) * f[1] + (1 - alpha2) * f[2]
+    return LayeredPayoffResult(payoff, alpha1, alpha2, False, raw > 1.0), i
+
+
+def _near(x, edge, tol=1e-12):
+    return abs(x - edge) <= tol
+
+
+def _ratio_tol(den):
+    """Error of a threshold whose numerator and denominator are each good to
+    1e-12: a small denominator amplifies it (none below INFO_TOL, where the
+    threshold is fixed)."""
+    return 1e-12 * max(1.0, 1.0 / den) if den > INFO_TOL else 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(games_and_layered_schemes(), st.booleans(),
+       st.sampled_from(("free", "u1_s", "u12_s")),
+       st.sampled_from((-0.01, 0.0, 1e-6, 0.05, 0.5)), st.floats(0.0, 3.0))
+def test_property_layered_matches_reference(pair, informed, anchor, offset, free_rate):
+    """Same flags and exceptions as the measure-by-measure formulas, and the
+    same numbers once their 1e-12 agreement is carried through the threshold
+    ratios; at free rates and at rates on the covering edges."""
+    game, lscheme = pair
+    _, i = _reference_layered(game, lscheme, 3.0, informed)
+    rate = free_rate if anchor == "free" else max(i[anchor] + offset, 0.0)
+    for value in (i["u2_sa_given_u1"], i["u1_sa"]):
+        assume(not _near(value, LAYER_DEGENERATE))
+    for cover in (i["u1_s"], i["u12_s"]):
+        assume(not _near(cover - rate, RATE_TOL, 1e-13))
+    try:
+        expected, i = _reference_layered(game, lscheme, rate, informed)
+    except InfeasibleRateError:
+        with pytest.raises(InfeasibleRateError):
+            layered_payoff(game, lscheme, rate, informed)
+        return
+    for den in (i["den1"], i["den2"]):
+        assume(not _near(den, INFO_TOL, 1e-13))
+    tol1, tol2 = _ratio_tol(i["den1"]), _ratio_tol(i["den2"])
+    if "raw" in i:  # three phases: the flags compare thresholds
+        assume(not _near(expected.alpha1, expected.alpha2, tol1 + tol2))
+        assume(not _near(i["raw"], 1.0, tol2))
+    result = layered_payoff(game, lscheme, rate, informed)
+    assert result.no_benefit == expected.no_benefit
+    assert result.alpha2_exceeds_block == expected.alpha2_exceeds_block
+    assert _near(result.alpha1, expected.alpha1, tol1)
+    assert _near(result.alpha2, expected.alpha2, tol2)
+    if expected.no_benefit:
+        assert np.isnan(result.payoff)
+    else:
+        slack = 2 * (tol1 + tol2) * i["fmax"]
+        assert _near(result.payoff, expected.payoff,
+                     1e-12 * max(1.0, abs(expected.payoff)) + slack)
+
+
+def test_layered_fixed_schemes_match_reference(erasure_game):
+    for lscheme in (_nondegenerate_layered(), _late_second_layer()):
+        _, i = _reference_layered(erasure_game, lscheme, 3.0, True)
+        for informed in (True, False):
+            for rate in i["u12_s"] + np.array([0.0, 0.05, 0.3, 1.0]):
+                expected, _ = _reference_layered(erasure_game, lscheme, rate, informed)
+                result = layered_payoff(erasure_game, lscheme, rate, informed)
+                assert result.no_benefit == expected.no_benefit
+                assert _close(result.alpha1, expected.alpha1)
+                assert _close(result.alpha2, expected.alpha2)
+                assert np.isnan(result.payoff) == expected.no_benefit
+                if not expected.no_benefit:
+                    assert _close(result.payoff, expected.payoff)
+
+
+def test_layered_payoff_calls_no_generic_measure(monkeypatch, erasure_game,
+                                                 optimal_scheme):
+    """Every layered quantity comes from the statistics kernel."""
+    from statehelper import game_core, info_measures
+
+    calls = []
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return counted
+
+    for module in (rate_value, info_measures, game_core):
+        for name in ("mutual_information", "conditional_mutual_information",
+                     "min_payoff_given_observation"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    schemes = (_nondegenerate_layered(), _late_second_layer(),
+               _constant_layer(optimal_scheme, 2, 1),
+               _constant_layer(optimal_scheme, 2, 2))
+    for lscheme in schemes:
+        for informed in (True, False):
+            layered_payoff(erasure_game, lscheme, 1.6, informed)
+    assert calls == []

@@ -175,7 +175,7 @@ def test_steep_cell_newton_stays_inside_the_bracket():
     w, u = np.sqrt(2.0 * (theta * t - k0)), theta * np.sqrt(t * (1.0 - t))
     want = np.log(ndtr(-w) + np.exp(-0.5 * w * w) / np.sqrt(2 * np.pi) * (1 / u - 1 / w))
     assert TAIL_REGIMES[regime[0]] == "lugannani_rice"
-    # K'' = s2 - s1^2 cancels to about 5e-8 relative at s1 = 1 - 1e-7
+    # theta lands 8.4e-8 short: the stop test reads K' alone, and K'' is 1e-7
     assert abs(got[0] - want) <= 1e-9 * abs(want)
 
 
