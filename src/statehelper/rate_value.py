@@ -164,7 +164,10 @@ def _stats_kernel(m, payoff) -> SchemeStats:
     """
     p_su = m.sum(axis=2)
     p_sa = m.sum(axis=1)
-    h_s = _entropy_bits(p_su.sum(axis=1))
+    p_s = p_su.sum(axis=1)
+    # one live state: H(S) is 0, not -x log x of a marginal x = 1 +- ulp, so
+    # that I(U;S) = H(U) - H(S,U) is exactly 0
+    h_s = _entropy_bits(p_s) if np.count_nonzero(p_s) > 1 else 0.0
     h_u = _entropy_bits(p_su.sum(axis=0))
     h_su = _entropy_bits(p_su)
     h_sa = _entropy_bits(p_sa)

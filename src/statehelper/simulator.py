@@ -306,6 +306,7 @@ def _sample_box_codeword(rng, state_seq, boxes):
 TAIL_REGIMES = ("unreachable", "empty", "above_sup", "at_sup", "bulk",
                 "overflow", "lugannani_rice", "arg_nonpositive", "tiny_uw")
 THETA_MAX = 400.0  # a saddlepoint beyond this counts as all mass at the supremum
+THETA_RTOL = 1e-10  # saddlepoint solve: Newton step or bracket, relative to 1 + theta
 
 
 class _CompetitorTail:
@@ -357,8 +358,9 @@ class _CompetitorTail:
 
         Returns the log tails and each row's index into TAIL_REGIMES: a row
         takes the first regime whose test it passes.  The saddlepoint solve
-        stops once every row has |K'(theta) - t| <= 1e-9 (1 + |t|), after
-        one more Newton step.
+        stops on a row once its Newton step |t - K'(theta)| / K''(theta) or
+        its bracket is at most THETA_RTOL (1 + theta), after that one more
+        Newton step.
         """
         counts = np.asarray(counts, dtype=float)
         t = np.asarray(thresholds, dtype=float)
@@ -383,18 +385,25 @@ class _CompetitorTail:
         # K' rises from below t at 0 to at least t at THETA_MAX, so [lo, hi]
         # brackets the saddlepoint of every row still unsettled
         lo, theta = np.zeros(t.size), np.ones(t.size)
-        tol = 1e-9 * (1.0 + np.abs(t))
+        live = np.flatnonzero(regime < 0)
         for _ in range(60):
-            k0, k1, k2 = self._cgf(theta, counts)
-            miss = (regime < 0) & (np.abs(k1 - t) > tol)
-            lo = np.where(miss & (k1 < t), theta, lo)
-            hi = np.where(miss & (k1 >= t), theta, hi)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                step = theta + (t - k1) / k2
-            newton = (k2 > 1e-300) & (lo < step) & (step < hi)
-            theta = np.where(newton, step, np.where(miss, 0.5 * (lo + hi), theta))
-            if not miss.any():
+            if live.size == 0:
                 break
+            th, lo_l, hi_l, t_l = theta[live], lo[live], hi[live], t[live]
+            _, k1, k2 = self._cgf(th, counts[live])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = th + (t_l - k1) / k2
+            # a row is solved once its Newton step or its bracket is below
+            # the tolerance (where K'' is small, a small |K' - t| is a long
+            # step); it then takes that last step and leaves the loop
+            tol = THETA_RTOL * (1.0 + th)
+            miss = (hi_l - lo_l > tol) & ~((k2 > 1e-300) & (np.abs(step - th) <= tol))
+            lo_l = np.where(miss & (k1 < t_l), th, lo_l)
+            hi_l = np.where(miss & (k1 >= t_l), th, hi_l)
+            newton = (k2 > 1e-300) & (lo_l < step) & (step < hi_l)
+            theta[live] = np.where(newton, step, np.where(miss, 0.5 * (lo_l + hi_l), th))
+            lo[live], hi[live] = lo_l, hi_l
+            live = live[miss]
         k0, k1, k2 = self._cgf(theta, counts)
         arg = 2.0 * (theta * t - k0)
         w_lr, u_lr = np.sqrt(np.maximum(arg, 0.0)), theta * np.sqrt(k2)

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from statehelper import (
     CommonInfoSearch,
     ContractViolationError,
+    InfeasibleDecompositionError,
     JointDistribution,
     binary_entropy,
     conditional_mutual_information,
@@ -16,6 +19,8 @@ from statehelper import (
 )
 
 from conftest import make_erasure_game, make_optimal_erasure_scheme, random_joint
+
+SETTINGS = settings(max_examples=25, deadline=None)
 
 
 def test_entropy_anchors():
@@ -102,7 +107,7 @@ def test_common_information_product_joint():
     joint = JointDistribution(np.outer([0.4, 0.6], [0.3, 0.7]))
     result = wyner_common_information(joint, 2, CommonInfoSearch(restarts=12))
     assert result.value < 1e-6
-    assert result.achieved_joint_error <= 1e-6
+    assert result.achieved_joint_error <= 1e-10
 
 
 def test_common_information_perfect_correlation():
@@ -124,10 +129,116 @@ def test_common_information_sandwich_on_erasure_joint():
     # the decomposition must reproduce the target joint
     recon = np.einsum("u,us,ua->sa", result.p_u, result.p_s_given_u.rows,
                       result.p_a_given_u.rows)
-    assert 0.5 * np.abs(recon - sa.mass).sum() <= 1e-6
+    assert 0.5 * np.abs(recon - sa.mass).sum() <= 1e-10
 
 
 def test_common_information_rejects_bad_shapes():
     joint = JointDistribution(np.full((2, 2, 2), 0.125))
     with pytest.raises(ContractViolationError):
         wyner_common_information(joint, 2)
+
+
+# ---------------------------------------------------------------------------
+# the Wyner search on random joints with zero cells and zero-mass rows
+
+
+def _reconstruction_error(result, mass):
+    recon = np.einsum("u,us,ua->sa", result.p_u, result.p_s_given_u.rows,
+                      result.p_a_given_u.rows)
+    return 0.5 * np.abs(recon - mass).sum()
+
+
+def _normalized(weights):
+    weights = np.asarray(weights, dtype=float)
+    return weights / weights.sum()
+
+
+@st.composite
+def sa_joints(draw):
+    """(mass, |U|): a 2-3 x 2-3 joint, some cells and maybe a row at zero."""
+    ns, na = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    cell = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
+    mass = np.array(draw(st.lists(cell, min_size=ns * na, max_size=ns * na)))
+    mass = mass.reshape(ns, na)
+    if draw(st.booleans()):
+        mass[draw(st.integers(0, ns - 1))] = 0.0
+    if mass.sum() == 0:
+        mass[0, 0] = 1.0
+    nu = min(ns, na) + draw(st.integers(0, 2))
+    return _normalized(mass), nu
+
+
+@SETTINGS
+@given(sa_joints(), st.integers(0, 2**16))
+def test_property_common_information_bounds(case, seed):
+    mass, nu = case
+    joint = JointDistribution(mass)
+    result = wyner_common_information(joint, nu,
+                                      CommonInfoSearch(restarts=16, seed=seed))
+    i_sa = mutual_information(joint, (0,), (1,))
+    h_s, h_a = entropy(mass.sum(axis=1)), entropy(mass.sum(axis=0))
+    assert i_sa - 1e-12 <= result.value <= min(h_s, h_a) + 1e-12
+    assert result.achieved_joint_error <= 1e-10
+    assert _reconstruction_error(result, mass) <= 1e-10
+    assert result.aux_cardinality == nu
+    assert 1 <= result.restarts_near_best <= result.restarts_feasible \
+        <= result.restarts_run
+
+
+@settings(max_examples=10, deadline=None)
+@given(sa_joints(), st.integers(0, 2**16))
+def test_property_common_information_seed_determinism(case, seed):
+    mass, nu = case
+    search = CommonInfoSearch(restarts=8, seed=seed)
+    first = wyner_common_information(JointDistribution(mass), nu, search)
+    second = wyner_common_information(JointDistribution(mass), nu, search)
+    assert first.value == second.value
+    assert np.array_equal(first.p_u, second.p_u)
+
+
+@SETTINGS
+@given(st.lists(st.one_of(st.just(0.0), st.floats(0.01, 1.0)), min_size=2, max_size=3),
+       st.lists(st.one_of(st.just(0.0), st.floats(0.01, 1.0)), min_size=2, max_size=3),
+       st.integers(1, 3), st.integers(0, 2**16))
+def test_property_product_joint_needs_no_common_information(ws, wa, nu, seed):
+    if sum(ws) == 0 or sum(wa) == 0:
+        ws, wa = ws[:-1] + [1.0], wa[:-1] + [1.0]
+    mass = np.outer(_normalized(ws), _normalized(wa))
+    result = wyner_common_information(JointDistribution(mass), nu,
+                                      CommonInfoSearch(restarts=8, seed=seed))
+    assert result.value < 1e-9
+    assert _reconstruction_error(result, mass) <= 1e-10
+
+
+@SETTINGS
+@given(st.lists(st.one_of(st.just(0.0), st.floats(0.01, 1.0)), min_size=2, max_size=3),
+       st.integers(0, 2), st.integers(0, 2**16))
+def test_property_diagonal_joint_common_information_is_entropy(weights, extra, seed):
+    if sum(weights) == 0:
+        weights = weights[:-1] + [1.0]
+    p = _normalized(weights)
+    mass = np.diag(p)
+    result = wyner_common_information(JointDistribution(mass), p.size + extra,
+                                      CommonInfoSearch(restarts=8, seed=seed))
+    assert abs(result.value - entropy(p)) <= 1e-9
+    assert _reconstruction_error(result, mass) <= 1e-10
+
+
+def test_single_symbol_cannot_carry_correlation():
+    joint = JointDistribution(np.array([[0.4, 0.1], [0.1, 0.4]]))
+    with pytest.raises(InfeasibleDecompositionError):
+        wyner_common_information(joint, 1)
+
+
+def test_common_information_diagnostics_on_erasure_joint():
+    game = make_erasure_game()
+    scheme = make_optimal_erasure_scheme()
+    sa = JointDistribution(scheme.joint(game.prior).marginal((0, 2)))
+    result = wyner_common_information(sa, 3)
+    # U = S, U = A and constant U lead; the rest are random
+    assert result.restarts_run == CommonInfoSearch().restarts
+    # constant U cannot carry I(S;A) = 1/4 bit
+    assert result.restarts_feasible <= result.restarts_run - 1
+    assert result.restarts_near_best >= 1
+    assert result.steps > 0
+    assert abs(result.value - binary_entropy(0.25)) <= 1e-9

@@ -73,6 +73,20 @@ def _full_description_scheme(game):
                   ConditionalDistribution(informed.strategy_a.rows))
 
 
+def test_one_live_state_has_no_state_information():
+    """With a single state of positive prior, I(U;S) is exactly 0."""
+    rng = np.random.default_rng(0)
+    for prior in ([1.0], [1.0, 0.0], [0.0, 1.0, 0.0]):
+        prior = np.array(prior)
+        for _ in range(20):
+            game = random_game(rng, n_states=prior.size)
+            game = Game(states=game.states, prior=prior,
+                        actions_a=game.actions_a, actions_b=game.actions_b,
+                        payoff=game.payoff)
+            scheme = random_scheme(rng, n_states=prior.size, card_u=3)
+            assert scheme_statistics(game, scheme).i_us == 0.0
+
+
 def test_full_description_scheme_statistics(erasure_game):
     scheme = _full_description_scheme(erasure_game)
     stats = scheme_statistics(erasure_game, scheme)
