@@ -337,7 +337,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="search starts, the structured U=S, U=A, U=(S,A) and "
                         "constant-U ones included; the reported value is "
                         "I(S,A;U) of a decomposition that reproduces the "
-                        "joint within total variation 1e-10")
+                        "joint within total variation 1e-10.  The default "
+                        "suffices for the reference erasure joint; other "
+                        "joints can need more (about 24) to find the best "
+                        "decomposition")
     p.set_defaults(func=cmd_common_info)
 
     return parser

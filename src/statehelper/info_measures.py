@@ -129,11 +129,14 @@ class CommonInfoSearch:
     """Search budget for the common-information minimization.
 
     restarts counts every start, the structured ones included; iterations is
-    the number of block steps at each penalty weight.
+    the number of block steps at each penalty weight of the first
+    continuation (the second takes twice as many).  The default restart
+    count is the smallest that finds C(S;A) = H(1/4) of the reference
+    erasure joint for every seed 0-999; harder joints can need more.
     """
 
-    restarts: int = 64
-    iterations: int = 40
+    restarts: int = 8
+    iterations: int = 21
     seed: int = 0
 
 
@@ -172,16 +175,24 @@ def _pad_rows(rows, n_rows):
     return out
 
 
-# Penalty schedule of the Wyner search: random restart k starts at its own
-# weight, spread geometrically over _GAMMA_START, and then follows the common
-# weight, which rises geometrically to _GAMMA_MID in _STAGES[0] stages and on
-# to _GAMMA_END in _STAGES[1] more.
+# Penalty schedule of the Wyner search.  A continuation raises the weight
+# gamma geometrically from its start to _GAMMA_MID and on to _GAMMA_END, in
+# the two stage counts it is given.  The first continuation starts random
+# restart k at its own weight, spread geometrically over _GAMMA_START; the
+# second starts from every fitted decomposition at _GAMMA_REFINE, with a
+# share _REOPEN of uniform W mixed in so that entries the fit cut can grow
+# back, and takes twice the block steps at each weight.
 _GAMMA_START = (4.0, 1e3)
 _GAMMA_MID = 1e3
-_GAMMA_END = 1e9
-_STAGES = (60, 20)
+_GAMMA_END = 1e13
+_SEARCH_STAGES = (30, 20)
+_GAMMA_REFINE = 1e2
+_REFINE_STAGES = (60, 20)
+_REOPEN = 1e-6
 _FLOOR = 1e-12  # uniform share mixed into a random restart's backward channel
-_SUPPORT_TOL = 1e-9  # factor entries below this are zero in the final fit
+_MAX_EXTRAPOLATION = 30.0
+# factor entries below each of these are zero in one fit of every restart
+_SUPPORT_TOLS = (1e-9, 1e-6, 1e-4)
 _POLISH_STEPS = 400
 _NEAR_BEST = 1e-9
 
@@ -209,72 +220,160 @@ def _w_starts(target, nu, rng, restarts):
     pu = rng.dirichlet(np.ones(nu), size=n_random)
     qs = rng.dirichlet(np.ones(ns), size=(n_random, nu))
     qa = rng.dirichlet(np.ones(na), size=(n_random, nu))
-    random = pu[:, :, None, None] * qs[..., None] * qa[:, :, None, :]
-    return structured, random / random.sum(axis=1, keepdims=True)
+    return structured, _backward_channel(pu, qs, qa)
 
 
-def _markov_factors(target, w):
-    """p(u), Q(s|u), Q(a|u) of r = target * W; dead symbols get zero rows."""
-    r = target * w
+def _backward_channel(pu, qs, qa):
+    """W(u|s,a) proportional to p(u)Q(s|u)Q(a|u); 0 where every u has 0."""
+    w = pu[:, :, None, None] * qs[..., None] * qa[:, :, None, :]
+    return w / np.maximum(w.sum(axis=1, keepdims=True), 1e-300)
+
+
+def _markov_factors(r):
+    """p(u), Q(s|u), Q(a|u) of r(u,s,a); dead symbols get zero rows."""
     pu = r.sum(axis=(2, 3))
-    live = pu[..., None] > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        qs = np.where(live, r.sum(axis=3) / pu[..., None], 0.0)
-        qa = np.where(live, r.sum(axis=2) / pu[..., None], 0.0)
-    return pu, qs, qa
+    scale = 1.0 / np.maximum(pu, 1e-300)[..., None]
+    return pu, r.sum(axis=3) * scale, r.sum(axis=2) * scale
 
 
-def _continuation(target, w, gamma0, iterations):
+def _log(x):
+    return np.log(np.maximum(x, 1e-300))
+
+
+def _block_step(target, w, beta, floor, objective=False):
+    """One block step from W, and with objective=True the objective at W.
+
+    p(u), Q(s|u), Q(a|u) are the marginals of r = target * W, and the new W
+    is proportional to p(u) [Q(s|u) Q(a|u)]^beta, with a share floor of
+    uniform W mixed in.  With beta = gamma / (1 + gamma) both halves are
+    exact minimizations of I(S,A;U) + gamma I(S;A|U) over W.  The objective
+    is that sum divided by 1 + gamma, up to a constant:
+    sum r [log W - log p(u) - beta log Q(s|u) Q(a|u)].  At beta = 1 and
+    floor 0 the step is expectation maximization, which raises
+    sum target log(sum_u p(u)Q(s|u)Q(a|u)) and keeps zero entries zero.
+    """
+    r = target * w
+    pu, qs, qa = _markov_factors(r)
+    q = qs[..., None] * qa[:, :, None, :]
+    w_next = pu[:, :, None, None] * q ** beta
+    w_next *= (1.0 - floor) / np.maximum(w_next.sum(axis=1, keepdims=True), 1e-300)
+    if floor:
+        w_next += floor / w.shape[1]
+    if not objective:
+        return w_next
+    return w_next, (r * (_log(w) - _log(pu)[:, :, None, None] - beta * _log(q))
+                    ).sum(axis=(1, 2, 3))
+
+
+def _accelerated_steps(target, w, beta):
+    """Three block steps with one SQUAREM extrapolation in log W
+    (Varadhan and Roland, Scand. J. Statist. 2008).  The extrapolated point
+    is kept only where its objective is no higher than after one plain
+    step, so the objective never rises."""
+    w1 = _block_step(target, w, beta, _FLOOR)
+    w2, f1 = _block_step(target, w1, beta, _FLOOR, objective=True)
+    lw, lw1 = np.log(w), np.log(w1)
+    d1, d2 = lw1 - lw, np.log(w2) - 2.0 * lw1 + lw
+    alpha = np.sqrt((d1 ** 2).sum(axis=(1, 2, 3))
+                    / np.maximum((d2 ** 2).sum(axis=(1, 2, 3)), 1e-300))
+    alpha = np.clip(alpha, 1.0, _MAX_EXTRAPOLATION)[:, None, None, None]
+    z = lw + 2.0 * alpha * d1 + alpha ** 2 * d2
+    w3, f3 = _block_step(target, _softmax(z, axis=1), beta, _FLOOR, objective=True)
+    return np.where((f3 <= f1)[:, None, None, None], w3, w2)
+
+
+def _continuation(target, w, gamma0, gamma_start, stages, iterations):
     """Minimize I(S,A;U) + gamma I(S;A|U) over W while gamma rises.
 
-    One block step sets p(u), Q(s|u), Q(a|u) to the marginals of
-    r = target * W, then W(u|s,a) proportional to
-    p(u) [Q(s|u) Q(a|u)]^beta = p(u)^(1 - 2 beta) [r(u,s) r(u,a)]^beta with
-    beta = gamma / (1 + gamma).  Restart k starts at weight gamma0[k].  A
-    share _FLOOR of uniform W keeps every symbol and entry alive, so none
-    is lost for good before the penalty needs it.
+    Restart k starts at weight max(gamma0[k], gamma_start) and takes
+    iterations block steps (in groups of three, see _accelerated_steps) at
+    each weight.  A share _FLOOR of uniform W keeps every symbol and entry
+    alive, so none is lost for good before the penalty needs it.
     """
-    nu = w.shape[1]
     gammas = np.concatenate([
-        np.geomspace(_GAMMA_START[0], _GAMMA_MID, _STAGES[0]),
-        np.geomspace(_GAMMA_MID, _GAMMA_END, _STAGES[1] + 1)[1:]])
+        np.geomspace(gamma_start, _GAMMA_MID, stages[0]),
+        np.geomspace(_GAMMA_MID, _GAMMA_END, stages[1] + 1)[1:]])
+    groups = max(iterations // 3, 1)
     for gamma in gammas:
         g = np.maximum(gamma0, gamma)
-        beta = (g / (1.0 + g))[:, None, None]
-        exponent = 1.0 - 2.0 * beta[:, :, 0]
-        for _ in range(iterations):
-            r = target * w
-            rs, ra = r.sum(axis=3), r.sum(axis=2)
-            w = ((rs.sum(axis=2) ** exponent)[..., None] * rs ** beta)[..., None] \
-                * (ra ** beta)[:, :, None, :]
-            # cells of a zero-mass row have w = 0 for every u
-            w *= (1.0 - _FLOOR) / np.maximum(w.sum(axis=1, keepdims=True), 1e-300)
-            w += _FLOOR / nu
-    return w, gammas.size * iterations
+        beta = (g / (1.0 + g))[:, None, None, None]
+        for _ in range(groups):
+            w = _accelerated_steps(target, w, beta)
+    return w, gammas.size * groups * 3
+
+
+def _polish_candidates(target, pu, qs, qa):
+    """(V, R) factor triples the final fit starts from.
+
+    Every support cut of _SUPPORT_TOLS is one.  The penalty leaves its slack
+    where it is cheapest, on small and zero cells of the target, and two
+    more candidates undo that on the middle cut: one moves each restart's
+    least-used symbol to a point mass on the smallest positive cell, which a
+    symbol of its own fits exactly; the other gives every zero cell (s,a)
+    an exact zero, dropping Q(s|u) or Q(a|u) of each symbol u that puts
+    mass there, whichever carries the smaller share of its target marginal.
+    """
+    cuts = [tuple(np.where(x < tol, 0.0, x) for x in (pu, qs, qa))
+            for tol in _SUPPORT_TOLS]
+    pu, qs, qa = cuts[len(cuts) // 2]
+
+    dedicated = [x.copy() for x in (pu, qs, qa)]
+    s, a = np.unravel_index(np.argmin(np.where(target > 0, target, np.inf)),
+                            target.shape)
+    rows, least = np.arange(pu.shape[0]), np.argmin(pu, axis=1)
+    dedicated[0][rows, least] = target[s, a]
+    dedicated[1][rows, least] = np.eye(target.shape[0])[s]
+    dedicated[2][rows, least] = np.eye(target.shape[1])[a]
+
+    share_s = pu[..., None] * qs / np.maximum(target.sum(axis=1), 1e-300)
+    share_a = pu[..., None] * qa / np.maximum(target.sum(axis=0), 1e-300)
+    conflict = (target == 0) & (qs[..., None] > 0) & (qa[..., None, :] > 0)
+    drop_s = conflict & (share_s[..., None] <= share_a[..., None, :])
+    zeroed = (pu, np.where(drop_s.any(axis=3), 0.0, qs),
+              np.where((conflict & ~drop_s).any(axis=2), 0.0, qa))
+    return [np.stack(x) for x in zip(*cuts, dedicated, zeroed)]
 
 
 def _fit(target, pu, qs, qa, steps):
-    """Expectation-maximization steps W = p(u)Q(s|u)Q(a|u) / sum_u, which
-    raise sum target log(sum_u p(u)Q(s|u)Q(a|u)) and keep zero entries zero."""
+    """Expectation-maximization block steps (beta = 1, no floor) from the
+    decomposition p(u)Q(s|u)Q(a|u); returns the fitted factors."""
+    w = _backward_channel(pu, qs, qa)
     for _ in range(steps):
-        w = pu[:, :, None, None] * qs[..., None] * qa[:, :, None, :]
-        w /= np.maximum(w.sum(axis=1, keepdims=True), 1e-300)
-        pu, qs, qa = _markov_factors(target, w)
-    return pu, qs, qa
+        w = _block_step(target, w, 1.0, 0.0)
+    return _markov_factors(target * w)
+
+
+def _fitted(target, w):
+    """Each restart's best fit over its _polish_candidates.
+
+    Returns p(u), Q(s|u), Q(a|u), I(S,A;U) and total variation, one entry per
+    restart: the feasible candidate of least value, or the candidate of least
+    total variation when none is feasible.
+    """
+    candidates = [x.reshape(-1, *x.shape[2:])
+                  for x in _polish_candidates(target, *_markov_factors(target * w))]
+    pu, qs, qa = _fit(target, *candidates, _POLISH_STEPS)
+    values, tv = _decomposition_values(target, pu, qs, qa)
+    n = w.shape[0]
+    # every feasible candidate ranks before every infeasible one
+    key = np.where(tv <= FEASIBILITY_TOL, values, values.max() + 1.0 + tv)
+    pick = np.argmin(key.reshape(-1, n), axis=0) * n + np.arange(n)
+    return pu[pick], qs[pick], qa[pick], values[pick], tv[pick]
 
 
 def _decomposition_values(target, pu, qs, qa):
     """(I(S,A;U) in bits, total variation to target) of each p(u)Q(s|u)Q(a|u)."""
-    m = pu[:, :, None, None] * qs[..., None] * qa[:, :, None, :]
-    tv = 0.5 * np.abs(m.sum(axis=1) - target).sum(axis=(1, 2))
-    m = m / m.sum(axis=(1, 2, 3), keepdims=True)
+    m = pu[..., None, None] * qs[..., None] * qa[..., None, :]
+    tv = 0.5 * np.abs(m.sum(axis=-3) - target).sum(axis=(-2, -1))
+    m = m / m.sum(axis=(-3, -2, -1), keepdims=True)
 
     def entropies(p, axes):
         with np.errstate(divide="ignore", invalid="ignore"):
             return -np.where(p > 0, p * np.log2(p), 0.0).sum(axis=axes)
 
-    value = (entropies(m.sum(axis=(2, 3)), 1) + entropies(m.sum(axis=1), (1, 2))
-             - entropies(m, (1, 2, 3)))
+    value = (entropies(m.sum(axis=(-2, -1)), -1)
+             + entropies(m.sum(axis=-3), (-2, -1))
+             - entropies(m, (-3, -2, -1)))
     return np.maximum(value, 0.0), tv
 
 
@@ -289,9 +388,15 @@ def wyner_common_information(target: JointDistribution, max_card_u: int,
     alternating block steps (Blahut-Arimoto style): p(u), Q(s|u), Q(a|u)
     are the marginals of r, then W is proportional to
     p(u) [Q(s|u) Q(a|u)]^(gamma/(1+gamma)).  Neither step raises the
-    objective, and gamma rises by continuation to 1e9.  A final fit
-    (expectation-maximization steps on the support that survived) closes
-    the remaining gap.
+    objective, SQUAREM extrapolation (kept only where it does not raise the
+    objective either) speeds them up, and gamma rises by continuation to
+    1e13.  Expectation-maximization steps then fit each restart's
+    decomposition to the target, from several candidates that differ in how
+    they treat the slack the penalty leaves on small and zero cells (see
+    _polish_candidates).  A second continuation starts from every fitted
+    decomposition, with cut entries reopened, and is fitted the same way:
+    the fit's cuts can close a support that a better decomposition needs,
+    and the first continuation can stop short of its minimum.
 
     The reported value is I(S,A;U) of a decomposition p(u)Q(s|u)Q(a|u) that
     reproduces the target within total variation FEASIBILITY_TOL, so it is
@@ -311,21 +416,29 @@ def wyner_common_information(target: JointDistribution, max_card_u: int,
     nu = max_card_u
     rng = np.random.default_rng(search.seed)
     structured, w = _w_starts(tgt, nu, rng, search.restarts)
-    w, steps = _continuation(tgt, w, np.geomspace(*_GAMMA_START, w.shape[0]),
-                             search.iterations)
-    # the fit runs on the support the continuation left
-    pu, qs, qa = (np.concatenate([exact, np.where(x < _SUPPORT_TOL, 0.0, x)])
-                  for exact, x in zip(_markov_factors(tgt, structured),
-                                      _markov_factors(tgt, w)))
-    pu, qs, qa = _fit(tgt, pu, qs, qa, _POLISH_STEPS)
-    values, tv = _decomposition_values(tgt, pu, qs, qa)
-    feasible = tv <= FEASIBILITY_TOL
-    if not feasible.any():
+    n_random = w.shape[0]
+    w, steps = _continuation(tgt, w, np.geomspace(*_GAMMA_START, n_random),
+                             _GAMMA_START[0], _SEARCH_STAGES, search.iterations)
+    first = _fitted(tgt, w)
+    # the second pass restarts from every fitted decomposition
+    w = (1.0 - _REOPEN) * _backward_channel(*first[:3]) + _REOPEN / nu
+    w, more = _continuation(tgt, w, np.zeros(n_random), _GAMMA_REFINE,
+                            _REFINE_STAGES, 2 * search.iterations)
+    second = _fitted(tgt, w)
+    # the structured starts are exact already
+    exact = _markov_factors(tgt * structured)
+    pu, qs, qa, values, tv = (np.concatenate(x) for x in zip(
+        exact + _decomposition_values(tgt, *exact), first, second))
+    values = np.where(tv <= FEASIBILITY_TOL, values, np.inf)
+    if not np.isfinite(values).any():
         raise InfeasibleDecompositionError(
             f"no decomposition with |U|={nu} reached total variation "
             f"{FEASIBILITY_TOL} of the target joint")
-    values = np.where(feasible, values, np.inf)
     k = int(np.argmin(values))
+    n_structured = structured.shape[0]
+    per_restart = np.concatenate([
+        values[:n_structured],
+        values[n_structured:].reshape(2, n_random).min(axis=0)])
     rows_s = np.where(pu[k, :, None] > 0, qs[k], 1.0 / tgt.shape[0])
     rows_a = np.where(pu[k, :, None] > 0, qa[k], 1.0 / tgt.shape[1])
     return CommonInfoResult(
@@ -333,7 +446,7 @@ def wyner_common_information(target: JointDistribution, max_card_u: int,
         p_s_given_u=ConditionalDistribution(rows_s),
         p_a_given_u=ConditionalDistribution(rows_a),
         achieved_joint_error=float(tv[k]),
-        restarts_run=int(pu.shape[0]),
-        restarts_feasible=int(feasible.sum()),
-        restarts_near_best=int((values <= values[k] + _NEAR_BEST).sum()),
-        steps=steps + _POLISH_STEPS)
+        restarts_run=int(per_restart.size),
+        restarts_feasible=int(np.isfinite(per_restart).sum()),
+        restarts_near_best=int((per_restart <= values[k] + _NEAR_BEST).sum()),
+        steps=steps + more + 2 * _POLISH_STEPS)
