@@ -184,13 +184,15 @@ def cmd_sweep(args) -> int:
     out = _open_out(args.out)
     try:
         out.write("rate,payoff,alpha\n")
+        # one search runs every rate, each from the starts of a one-rate call
+        optimized = (optimize_bound(game, rates, args.b_knows_state, args.card_u,
+                                    BoundSearch(seed=args.seed))
+                     if args.optimize and rates else None)
         best_scheme = None
         best_payoff = -np.inf
-        for rate in rates:
+        for i, rate in enumerate(rates):
             if args.optimize:
-                search = BoundSearch(seed=args.seed)
-                scheme, point = optimize_bound(game, rate, args.b_knows_state,
-                                               args.card_u, search)
+                scheme, point = optimized[i]
                 payoff, alpha = point.payoff, point.alpha
                 # a lower-rate optimum stays feasible at higher rates, so the
                 # curve can always carry the best scheme found so far

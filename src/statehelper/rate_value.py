@@ -8,10 +8,12 @@ time average of best-response payoff functionals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+# unused here; bench/spans.py wraps this name in this module
+from scipy.optimize import minimize  # noqa: F401
 
 from .errors import ContractViolationError, InfeasibleRateError
 from .game_core import (
@@ -23,7 +25,6 @@ from .game_core import (
 )
 from .info_measures import (
     JointDistribution,
-    _entropy_bits,
     _pad_rows,
     _softmax,
     binary_entropy,
@@ -130,7 +131,10 @@ class LayeredScheme:
 
 @dataclass(frozen=True)
 class SchemeStats:
-    """Information quantities and payoff functionals entering the rate-value bound."""
+    """Information quantities and payoff functionals entering the rate-value bound.
+
+    Floats for one joint; arrays, one entry per joint, for a stack of joints.
+    """
 
     i_us: float
     i_usa: float
@@ -150,38 +154,63 @@ class RateValuePoint:
 
 
 def _joint_mass(prior, p_u_s, p_a_u):
-    """The (s, u, a) mass prior(s) p(u|s) p(a|u), not renormalized."""
-    return prior[:, None, None] * p_u_s[:, :, None] * p_a_u[None, :, :]
+    """The (s, u, a) mass prior(s) p(u|s) p(a|u), not renormalized.
+
+    p_u_s and p_a_u may carry the same leading batch axes.
+    """
+    return prior[:, None, None] * p_u_s[..., :, :, None] * p_a_u[..., None, :, :]
+
+
+def _entropy_rows(p, n_axes):
+    """-sum q log2 q over the last n_axes axes of p, for each leading index.
+
+    A zero cell adds a zero term, so each entropy is one sum over all the
+    cells of its block, whatever the other blocks hold.
+    """
+    lead, cells = p.shape[:p.ndim - n_axes], p.shape[p.ndim - n_axes:]
+    terms = p * np.log2(np.where(p > 0, p, 1.0))
+    return -terms.reshape(lead + (math.prod(cells),)).sum(axis=-1)
+
+
+def _nonneg(x):
+    """max(x, 0.0) elementwise, NaN and -0.0 passing through as in max()."""
+    return np.where(x < 0.0, 0.0, x)[()]
 
 
 def _stats_kernel(m, payoff) -> SchemeStats:
-    """All Theorem-1 inputs from an (s, u, a) joint: the one copy of the formulas.
+    """All Theorem-1 inputs from (s, u, a) joints: the one copy of the formulas.
 
-    m is a nonnegative tensor summing to 1 (layered_payoff passes U = U1 and
-    U = (U1, U2) marginals); payoff is indexed [a, b, s].  Nothing is
-    checked, so callers outside the optimizer and layered_payoff go through
+    m has shape (..., s, u, a), each (s, u, a) block a nonnegative tensor
+    summing to 1 (layered_payoff passes U = U1 and U = (U1, U2) marginals);
+    payoff is indexed [a, b, s].  Each field has m's leading shape, and is a
+    float for a single joint.  Every sum runs within one block, so a stack of
+    joints gives each joint's statistics bit for bit.  Nothing is checked, so
+    callers outside the optimizer and layered_payoff go through
     scheme_statistics.
     """
-    p_su = m.sum(axis=2)
-    p_sa = m.sum(axis=1)
-    p_s = p_su.sum(axis=1)
-    # one live state: H(S) is 0, not -x log x of a marginal x = 1 +- ulp, so
-    # that I(U;S) = H(U) - H(S,U) is exactly 0
-    h_s = _entropy_bits(p_s) if np.count_nonzero(p_s) > 1 else 0.0
-    h_u = _entropy_bits(p_su.sum(axis=0))
-    h_su = _entropy_bits(p_su)
-    h_sa = _entropy_bits(p_sa)
-    h_sua = _entropy_bits(m)
-    # w[s, u, b]: A's payoff mass in each (s, u) cell against each pure b
-    w = np.einsum("sua,abs->sub", m, payoff)
+    p_su = m.sum(axis=-1)
+    p_sa = m.sum(axis=-2)
+    p_s = p_su.sum(axis=-1)
+    # one live state: H(S) is 0, not -x log x of a marginal x = 1 +- ulp, and
+    # I(U;S) is exactly 0 (H(U) and H(S,U) sum the same terms, but the zero
+    # cells of the dead states can group those sums differently)
+    several_states = (p_s != 0).sum(axis=-1) > 1
+    h_s = np.where(several_states, _entropy_rows(p_s, 1), 0.0)
+    h_u = _entropy_rows(p_su.sum(axis=-2), 1)
+    h_su = _entropy_rows(p_su, 2)
+    h_sa = _entropy_rows(p_sa, 2)
+    h_sua = _entropy_rows(m, 3)
+    # w[..., s, u, b]: A's payoff mass in each (s, u) cell against each pure b
+    w = np.einsum("...sua,abs->...sub", m, payoff)
+    lead, (ns, nu, _) = m.shape[:-3], m.shape[-3:]
     return SchemeStats(
-        i_us=max(h_s + h_u - h_su, 0.0),
-        i_usa=max(h_u + h_sa - h_sua, 0.0),
-        i_ua_given_s=max(h_su + h_sa - h_s - h_sua, 0.0),
-        pi_low=float(w.sum(axis=(0, 1)).min()),
-        pi_low_s=float(w.sum(axis=1).min(axis=1).sum()),
-        pi_low_u=float(w.sum(axis=0).min(axis=1).sum()),
-        pi_low_su=float(w.min(axis=2).sum()))
+        i_us=np.where(several_states, _nonneg(h_s + h_u - h_su), 0.0)[()],
+        i_usa=_nonneg(h_u + h_sa - h_sua),
+        i_ua_given_s=_nonneg(h_su + h_sa - h_s - h_sua),
+        pi_low=w.sum(axis=(-3, -2)).min(axis=-1)[()],
+        pi_low_s=w.sum(axis=-2).min(axis=-1).sum(axis=-1)[()],
+        pi_low_u=w.sum(axis=-3).min(axis=-1).sum(axis=-1)[()],
+        pi_low_su=w.min(axis=-1).reshape(lead + (ns * nu,)).sum(axis=-1)[()])
 
 
 def scheme_statistics(game: Game, scheme: Scheme) -> SchemeStats:
@@ -195,13 +224,14 @@ def scheme_statistics(game: Game, scheme: Scheme) -> SchemeStats:
                                      scheme.p_a_given_u.rows), game.payoff)
 
 
-def _covering_gap(rate: float, i_cover: float) -> float:
+def _covering_gap(rate, i_cover):
     """Rate the encoder lacks to find a codeword typical with the states.
 
     Covering needs rate >= I(U;S) (I(U1,U2;S) for a layered scheme) whoever
     observes the state, so one check serves an informed and an ignorant B.
+    Like the helpers below, it takes floats or arrays of them elementwise.
     """
-    return max(i_cover - rate, 0.0)
+    return _nonneg(i_cover - rate)
 
 
 def _require_covering(rate: float, i_cover: float, what: str = "I(U;S)"):
@@ -210,23 +240,27 @@ def _require_covering(rate: float, i_cover: float, what: str = "I(U;S)"):
             f"rate {rate} is below {what}={i_cover}; the encoder cannot cover the state")
 
 
-def _clamped_ratio(num: float, den: float) -> float:
+def _clamped_ratio(num, den):
     """num/den clamped to [0, 1]; a zero denominator means nothing left to learn."""
-    if den <= INFO_TOL:
-        return 1.0
-    return min(max(num / den, 0.0), 1.0)
+    small = den <= INFO_TOL
+    ratio = _nonneg(np.true_divide(num, np.where(small, 1.0, den)))
+    return np.where(small, 1.0, np.where(ratio > 1.0, 1.0, ratio))[()]
 
 
-def threshold_alpha(stats: SchemeStats, rate: float, b_knows_state: bool) -> float:
-    """Fraction of the block before the opponent decodes the codeword."""
-    if rate < 0:
+def threshold_alpha(stats: SchemeStats, rate, b_knows_state: bool):
+    """Fraction of the block before the opponent decodes the codeword.
+
+    stats and rate may hold arrays (as the optimizer's do); alpha is then
+    computed elementwise.
+    """
+    if (np.asarray(rate) < 0).any():
         raise ContractViolationError("rate must be nonnegative")
     if b_knows_state:
-        return _clamped_ratio(max(rate - stats.i_us, 0.0), stats.i_ua_given_s)
+        return _clamped_ratio(_nonneg(rate - stats.i_us), stats.i_ua_given_s)
     return _clamped_ratio(rate, stats.i_usa)
 
 
-def _bound_payoff(stats: SchemeStats, rate: float, b_knows_state: bool):
+def _bound_payoff(stats: SchemeStats, rate, b_knows_state: bool):
     """(alpha, payoff): the Theorem-1 two-phase average for these statistics."""
     alpha = threshold_alpha(stats, rate, b_knows_state)
     if b_knows_state:
@@ -258,9 +292,13 @@ class BoundSearch:
 
 
 def _softmax_rows(theta, ns, nu, na):
-    """The rows p(u|s) and p(a|u) that the optimizer's logits theta encode."""
-    return (_softmax(theta[:ns * nu].reshape(ns, nu)),
-            _softmax(theta[ns * nu:].reshape(nu, na)))
+    """The rows p(u|s) and p(a|u) that the optimizer's logits theta encode.
+
+    theta may carry leading batch axes, which the rows keep.
+    """
+    lead = theta.shape[:-1]
+    return (_softmax(theta[..., :ns * nu].reshape(lead + (ns, nu))),
+            _softmax(theta[..., ns * nu:].reshape(lead + (nu, na))))
 
 
 def _scheme_from_logits(theta, ns, nu, na):
@@ -274,7 +312,13 @@ def _penalized_payoff(stats, rate, b_knows_state, penalty):
     return p - penalty * _covering_gap(rate, stats.i_us)
 
 
-def _optimizer_seeds(game: Game, rate, card_u, rng, restarts):
+def _optimizer_seeds(game: Game, card_u, rng, restarts):
+    """Start schemes (p(U|S), p(A|U)) of the bound search.
+
+    The starts depend only on the game, card_u, the generator's state and
+    restarts, not on the rate, which is why one search can run every rate of
+    a sweep from the same starts.
+    """
     ns, na = game.n_states, game.n_actions_a
     seeds = []
 
@@ -300,42 +344,152 @@ def _optimizer_seeds(game: Game, rate, card_u, rng, restarts):
     return seeds
 
 
-def optimize_bound(game: Game, rate: float, b_knows_state: bool, card_u: int,
+# scipy's non-adaptive Nelder-Mead: reflection, expansion, contraction and
+# shrink coefficients, and the initial simplex steps
+_NM_RHO, _NM_CHI, _NM_PSI, _NM_SIGMA = 1, 2, 0.5, 0.5
+_NM_NONZDELT, _NM_ZDELT = 0.05, 0.00025
+
+
+def _sort_simplices(sim, fsim):
+    rows, order = np.arange(len(fsim))[:, None], np.argsort(fsim, axis=1)
+    return sim[rows, order], fsim[rows, order]
+
+
+def _nelder_mead(fun, x0, maxiter, xatol, fatol):
+    """scipy.optimize.minimize(method="Nelder-Mead") on many problems in lockstep.
+
+    Problem r starts from row r of x0, shape (R, N).  fun(x, rows) returns
+    the values at the points x, shape (K, N), point k belonging to problem
+    rows[k].  Each iteration calls fun at most three times for all problems
+    together: the reflections, then the expansions and contractions (one per
+    problem that needs one), then the shrinks.  Per problem this is scipy's
+    algorithm step for step (same coefficients, initial simplex, argsort
+    order, xatol/fatol test and maxiter counted from 1; no maxfev), so when
+    fun evaluates each point as it would alone, (x, fun, nit, nfev) equal
+    scipy's row by row.  Problems that converge drop out of the batch.
+    """
+    n_rows, n = x0.shape
+    sim = np.repeat(x0[:, None, :], n + 1, axis=1)
+    k = np.arange(n)
+    sim[:, k + 1, k] = np.where(x0 != 0, (1 + _NM_NONZDELT) * x0, _NM_ZDELT)
+    rows = np.arange(n_rows)
+    fsim = fun(sim.reshape(-1, n), np.repeat(rows, n + 1)).reshape(n_rows, n + 1)
+    # scipy sorts the first simplex twice, which can reorder ties
+    sim, fsim = _sort_simplices(*_sort_simplices(sim, fsim))
+    x, fval = np.empty_like(x0), np.empty(n_rows)
+    nit, nfev = np.empty(n_rows, dtype=int), np.full(n_rows, n + 1)
+    active, iterations = rows, 1
+
+    def retire(done):
+        nonlocal active, sim, fsim
+        x[active[done]] = sim[done, 0]
+        fval[active[done]] = fsim[done].min(axis=1)
+        nit[active[done]] = iterations
+        active, sim, fsim = active[~done], sim[~done], fsim[~done]
+
+    while active.size and iterations < maxiter:
+        done = ((np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= xatol)
+                & (np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= fatol))
+        if done.any():
+            retire(done)
+            if not active.size:
+                break
+        xbar = np.add.reduce(sim[:, :-1], 1) / n
+        worst = sim[:, -1]
+        new_x = (1 + _NM_RHO) * xbar - _NM_RHO * worst  # the reflections
+        new_f = fun(new_x, active)
+        nfev[active] += 1
+        # scipy's branches: a reflection below the best tries an expansion; one
+        # not below the second worst an outside contraction if it is below the
+        # worst, else an inside one; the rows that try one evaluate together
+        expand = new_f < fsim[:, 0]
+        contract = ~expand & ~(new_f < fsim[:, -2])
+        outside = contract & (new_f < fsim[:, -1])
+        second = np.flatnonzero(expand | contract)
+        shrink = second[:0]
+        if second.size:
+            e, o = expand[second], outside[second]
+            # scipy's three formulas, each as c_bar * xbar + c_worst * worst
+            c_bar = np.where(e, 1 + _NM_RHO * _NM_CHI,
+                             np.where(o, 1 + _NM_PSI * _NM_RHO, 1 - _NM_PSI))
+            c_worst = np.where(e, -_NM_RHO * _NM_CHI,
+                               np.where(o, -_NM_PSI * _NM_RHO, _NM_PSI))
+            x2 = c_bar[:, None] * xbar[second] + c_worst[:, None] * worst[second]
+            f2 = fun(x2, active[second])
+            nfev[active[second]] += 1
+            f_r = new_f[second]
+            take = np.where(e, f2 < f_r,
+                            np.where(o, f2 <= f_r, f2 < fsim[second, -1]))
+            new_x[second[take]], new_f[second[take]] = x2[take], f2[take]
+            # a failed contraction shrinks the simplex, worst vertex included
+            shrink = second[~take & ~e]
+            new_x[shrink], new_f[shrink] = worst[shrink], fsim[shrink, -1]
+        sim[:, -1], fsim[:, -1] = new_x, new_f
+        if shrink.size:
+            best = sim[shrink, :1]
+            points = best + _NM_SIGMA * (sim[shrink, 1:] - best)
+            sim[shrink, 1:] = points
+            fsim[shrink, 1:] = fun(points.reshape(-1, n),
+                                   np.repeat(active[shrink], n)).reshape(-1, n)
+            nfev[active[shrink]] += n
+        iterations += 1
+        sim, fsim = _sort_simplices(sim, fsim)
+    retire(np.ones(active.size, dtype=bool))
+    return x, fval, nit, nfev
+
+
+def optimize_bound(game: Game, rate, b_knows_state: bool, card_u: int,
                    search: BoundSearch = BoundSearch()):
     """Best scheme found for the rate-value bound at a fixed rate.
 
     Seeded multistart local search; any feasible scheme certifies its payoff,
-    so the result is achievable but not necessarily optimal.
+    so the result is achievable but not necessarily optimal.  Every start is
+    one Nelder-Mead run on the penalized bound over softmax logits, and all
+    runs advance together in one lockstep search (`_nelder_mead`) whose
+    objective evaluates the Theorem-1 kernel on the batch of their points.
+    The start and the end of each run are checked with scheme_statistics,
+    and the best covered one wins.
+
+    rate may also be a sequence of rates: the starts do not depend on the
+    rate, so every (rate, start) pair runs in the same lockstep search, and
+    the result is the list of (scheme, point) pairs, one per rate, that
+    one-rate calls would return.
     """
     if card_u < 1:
         raise ContractViolationError("card_u must be >= 1")
     ns, na = game.n_states, game.n_actions_a
+    rates = np.atleast_1d(np.asarray(rate, dtype=float))
     rng = np.random.default_rng(search.seed)
-    best_scheme, best_obj = None, -np.inf
-    for pu0, pa0 in _optimizer_seeds(game, rate, card_u, rng, search.restarts):
-        theta0 = np.concatenate([np.log(np.clip(pu0, 1e-9, None)).ravel(),
-                                 np.log(np.clip(pa0, 1e-9, None)).ravel()])
+    starts = np.array([
+        np.concatenate([np.log(np.clip(pu0, 1e-9, None)).ravel(),
+                        np.log(np.clip(pa0, 1e-9, None)).ravel()])
+        for pu0, pa0 in _optimizer_seeds(game, card_u, rng, search.restarts)])
+    n_starts = len(starts)
+    row_rates = np.repeat(rates, n_starts)  # row i: rate i // n_starts
 
-        def neg_obj(theta):
-            m = _joint_mass(game.prior, *_softmax_rows(theta, ns, card_u, na))
-            stats = _stats_kernel(m, game.payoff)
-            return -_penalized_payoff(stats, rate, b_knows_state,
-                                      search.infeasibility_penalty)
+    def neg_obj(theta, rows):
+        m = _joint_mass(game.prior, *_softmax_rows(theta, ns, card_u, na))
+        return -_penalized_payoff(_stats_kernel(m, game.payoff), row_rates[rows],
+                                  b_knows_state, search.infeasibility_penalty)
 
-        res = minimize(neg_obj, theta0, method="Nelder-Mead",
-                       options={"maxiter": search.iterations, "xatol": 1e-8,
-                                "fatol": 1e-12})
-        for theta in (theta0, res.x):
-            scheme = _scheme_from_logits(theta, ns, card_u, na)
-            stats = scheme_statistics(game, scheme)
-            obj = _penalized_payoff(stats, rate, b_knows_state,
-                                    search.infeasibility_penalty)
-            # only a scheme the encoder can carry certifies its payoff; the
-            # constant-U start always can
-            if obj > best_obj and _covering_gap(rate, stats.i_us) <= RATE_TOL:
-                best_obj, best_scheme = obj, scheme
-    point = theorem1_payoff(game, best_scheme, rate, b_knows_state)
-    return best_scheme, point
+    ends = _nelder_mead(neg_obj, np.tile(starts, (rates.size, 1)), search.iterations,
+                        xatol=1e-8, fatol=1e-12)[0]
+    results = []
+    for i, r in enumerate(rates):
+        best_scheme, best_obj = None, -np.inf
+        for theta0, theta in zip(starts, ends[i * n_starts:(i + 1) * n_starts]):
+            for candidate in (theta0, theta):
+                scheme = _scheme_from_logits(candidate, ns, card_u, na)
+                stats = scheme_statistics(game, scheme)
+                obj = _penalized_payoff(stats, r, b_knows_state,
+                                        search.infeasibility_penalty)
+                # only a scheme the encoder can carry certifies its payoff;
+                # the constant-U start always can
+                if obj > best_obj and _covering_gap(r, stats.i_us) <= RATE_TOL:
+                    best_obj, best_scheme = obj, scheme
+        results.append((best_scheme,
+                        theorem1_payoff(game, best_scheme, float(r), b_knows_state)))
+    return results if np.ndim(rate) else results[0]
 
 
 @dataclass(frozen=True)

@@ -155,6 +155,44 @@ def test_sweep_csv_monotone(erasure_file, scheme_file, capsys):
     assert abs(payoffs[0] - 0.25) < 1e-9
 
 
+def test_sweep_optimize_prints_the_one_rate_bounds(erasure_file, capsys,
+                                                  monkeypatch):
+    """The sweep searches all its rates at once; each row is still what
+    `bound --optimize` finds at that rate, after the sweep carries a
+    lower-rate scheme forward where it does better (here at rate 0.9)."""
+    flags = ["--optimize", "--card-u", "2", "--b-knows-state", "--seed", "0"]
+    assert main(["sweep", erasure_file, "--rates", "0.1:0.9:0.2"] + flags) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+
+    found = []
+    optimize_bound = cli.optimize_bound
+
+    def recording(*args, **kwargs):
+        found.append(optimize_bound(*args, **kwargs))
+        return found[-1]
+
+    monkeypatch.setattr(cli, "optimize_bound", recording)
+    game = cli.load_game(erasure_file)
+    rates = cli._parse_rates("0.1:0.9:0.2")
+    expected, best_scheme, best_payoff, carried = [], None, -np.inf, 0
+    for rate in rates:
+        assert main(["bound", erasure_file, "--rate", repr(rate)] + flags) == 0
+        out = capsys.readouterr().out
+        scheme, point = found[-1]
+        assert f"payoff: {cli._fmt(point.payoff)}\nalpha: {cli._fmt(point.alpha)}\n" in out
+        payoff, alpha = point.payoff, point.alpha
+        if best_scheme is not None:
+            prev = cli.theorem1_payoff(game, best_scheme, rate, True)
+            if prev.payoff > payoff:
+                payoff, alpha, scheme = prev.payoff, prev.alpha, best_scheme
+                carried += 1
+        if payoff >= best_payoff:
+            best_scheme, best_payoff = scheme, payoff
+        expected.append(f"{cli._fmt(rate)},{cli._fmt(payoff)},{cli._fmt(alpha)}")
+    assert carried >= 1
+    assert rows == expected
+
+
 def test_sweep_empty_range_header_only(erasure_file, scheme_file, capsys):
     assert main(["sweep", erasure_file, "--rates", "0.9:0.5:0.1",
                  "--scheme", scheme_file]) == 0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from statehelper import (
     BoundSearch,
@@ -35,6 +36,8 @@ from statehelper.rate_value import (
     INFO_TOL,
     RATE_TOL,
     SchemeStats,
+    _joint_mass,
+    _nelder_mead,
     _penalized_payoff,
     _scheme_from_logits,
     _softmax_rows,
@@ -85,6 +88,13 @@ def test_one_live_state_has_no_state_information():
                         payoff=game.payoff)
             scheme = random_scheme(rng, n_states=prior.size, card_u=3)
             assert scheme_statistics(game, scheme).i_us == 0.0
+    # the last game's prior is (0, 1, 0), so nine (s, u) cells, three of them
+    # live: the kernel's sums group the terms of H(S,U) and H(U) differently,
+    # and H(U) - H(S,U) is 1 ulp above 0 on this row
+    row = [0.26339066717518167, 0.5067919483097055, 0.2298173845151129]
+    scheme = Scheme(ConditionalDistribution(np.array([row] * 3)),
+                    ConditionalDistribution(np.full((3, 2), 0.5)))
+    assert scheme_statistics(game, scheme).i_us == 0.0
 
 
 def test_full_description_scheme_statistics(erasure_game):
@@ -337,10 +347,11 @@ def _pmf(weights):
 
 
 @st.composite
-def games_and_schemes(draw):
-    """|S|, |U|, |A|, |B| in 1..4 with zero-prior states, U symbols no state
-    reaches, rows with zero entries and forbidden (-1e6) payoffs."""
-    ns, nu, na, nb = (draw(st.integers(1, 4)) for _ in range(4))
+def games_and_schemes(draw, shape=None):
+    """|S|, |U|, |A|, |B| in 1..4 (or the given shape) with zero-prior states,
+    U symbols no state reaches, rows with zero entries and forbidden (-1e6)
+    payoffs."""
+    ns, nu, na, nb = shape or (draw(st.integers(1, 4)) for _ in range(4))
 
     def row(size, alive=None):
         weights = np.array(draw(st.lists(st.integers(0, 4), min_size=size,
@@ -364,6 +375,18 @@ def games_and_schemes(draw):
         ConditionalDistribution(np.stack([row(nu, alive) for _ in range(ns)])),
         ConditionalDistribution(np.stack([row(na) for _ in range(nu)])))
     return game, scheme
+
+
+@st.composite
+def joint_stacks(draw):
+    """A game and the (s, u, a) joints of 1-4 schemes on it, each drawn as
+    games_and_schemes draws one, so single live states come up too."""
+    game, scheme = draw(games_and_schemes())
+    shape = (game.n_states, scheme.card_u, game.n_actions_a, game.n_actions_b)
+    schemes = [scheme] + [draw(games_and_schemes(shape))[1]
+                          for _ in range(draw(st.integers(0, 3)))]
+    return game, np.stack([_joint_mass(game.prior, s.p_u_given_s.rows,
+                                       s.p_a_given_u.rows) for s in schemes])
 
 
 def _reference_stats(game, scheme):
@@ -422,6 +445,22 @@ def test_property_objective_on_rows_matches_scheme_path(pair, rate, informed, se
                   checked(_scheme_from_logits(theta, ns, nu, na)))
 
 
+@SETTINGS
+@given(joint_stacks())
+def test_property_kernel_on_a_stack_is_the_kernel_on_each_joint(drawn):
+    game, stack = drawn
+    batched = _stats_kernel(stack, game.payoff)
+    deeper = _stats_kernel(stack[None], game.payoff)  # two batch axes
+    for k, m in enumerate(stack):
+        alone = _stats_kernel(m, game.payoff)
+        for name in STATS_FIELDS:
+            value = getattr(alone, name)
+            assert isinstance(value, float), name
+            bits = np.float64(value).tobytes()
+            assert np.float64(getattr(batched, name)[k]).tobytes() == bits, name
+            assert np.float64(getattr(deeper, name)[0, k]).tobytes() == bits, name
+
+
 def test_scheme_statistics_rejects_mismatched_cardinalities(erasure_game):
     three_states = Scheme.constant_u(np.array([0.0, 1.0, 0.0]), 3)
     with pytest.raises(ContractViolationError):
@@ -432,23 +471,28 @@ def test_scheme_statistics_rejects_mismatched_cardinalities(erasure_game):
 
 
 def test_optimize_bound_checks_only_start_points(monkeypatch, erasure_game):
-    """The search evaluates the kernel; the checked statistics run twice per
-    start point (its start and its optimum) and once for the winner."""
+    """The search evaluates the kernel on batches of points; the checked
+    statistics run twice per start point (its start and its optimum) and once
+    for the winner."""
     calls = {"stats": 0, "starts": 0, "evaluations": 0}
-    checked, minimize = rate_value.scheme_statistics, rate_value.minimize
+    checked = rate_value.scheme_statistics
+    kernel, nelder_mead = rate_value._stats_kernel, rate_value._nelder_mead
 
     def counting_stats(game, scheme):
         calls["stats"] += 1
         return checked(game, scheme)
 
-    def counting_minimize(fun, x0, **kwargs):
-        calls["starts"] += 1
-        res = minimize(fun, x0, **kwargs)
-        calls["evaluations"] += res.nfev
-        return res
+    def counting_kernel(m, payoff):
+        calls["evaluations"] += int(np.prod(m.shape[:-3]))
+        return kernel(m, payoff)
+
+    def counting_nelder_mead(fun, x0, *args, **kwargs):
+        calls["starts"] += len(x0)
+        return nelder_mead(fun, x0, *args, **kwargs)
 
     monkeypatch.setattr(rate_value, "scheme_statistics", counting_stats)
-    monkeypatch.setattr(rate_value, "minimize", counting_minimize)
+    monkeypatch.setattr(rate_value, "_stats_kernel", counting_kernel)
+    monkeypatch.setattr(rate_value, "_nelder_mead", counting_nelder_mead)
     for informed in (True, False):
         calls.update(stats=0, starts=0, evaluations=0)
         optimize_bound(erasure_game, 0.7, informed, card_u=3,
@@ -456,6 +500,75 @@ def test_optimize_bound_checks_only_start_points(monkeypatch, erasure_game):
         assert calls["starts"] == 4
         assert calls["stats"] <= 2 * calls["starts"] + 1
         assert calls["evaluations"] > calls["stats"]
+
+
+def _nelder_mead_problems(n):
+    """Per-row test functions the batch evaluates exactly as scipy's single
+    points: convex quadratics, Rosenbrock, sum |x_i - c_i| with integer
+    centres and starts (ties), and a dead-zone sum max(|x_i - c_i| - 1/2, 0)
+    whose flat bottom forces shrink steps."""
+    rng = np.random.default_rng(11)
+    kinds = np.repeat(["quadratic", "rosenbrock", "absolute", "dead-zone"], 6)
+    centres = rng.integers(-2, 3, size=(kinds.size, n)).astype(float)
+    weights = rng.uniform(0.5, 3.0, size=(kinds.size, n))
+    x0 = rng.normal(0.0, 2.0, size=(kinds.size, n))
+    x0[kinds == "absolute"] = rng.integers(-2, 3, size=(6, n))
+    x0[:, 0][::5] = 0.0  # zero coordinates take scipy's zdelt step
+
+    def fun(x, rows):
+        out = np.empty(len(rows))
+        for kind in np.unique(kinds):
+            sel = kinds[rows] == kind
+            y, d = x[sel], x[sel] - centres[rows[sel]]
+            if kind == "quadratic":
+                out[sel] = (weights[rows[sel]] * d ** 2).sum(axis=-1) + d.sum(axis=-1) ** 2
+            elif kind == "rosenbrock":
+                out[sel] = (100.0 * (y[:, 1:] - y[:, :-1] ** 2) ** 2
+                            + (1.0 - y[:, :-1]) ** 2).sum(axis=-1)
+            elif kind == "absolute":
+                out[sel] = np.abs(d).sum(axis=-1)
+            else:
+                out[sel] = np.maximum(np.abs(d) - 0.5, 0.0).sum(axis=-1)
+        return out
+
+    return fun, x0
+
+
+def _assert_scipy_row_by_row(fun, x0, maxiter, xatol, fatol):
+    """The lockstep result, checked against one scipy run per row."""
+    x, fval, nit, nfev = _nelder_mead(fun, x0, maxiter, xatol, fatol)
+    for r in range(len(x0)):
+        res = minimize(lambda t: fun(t[None], np.array([r]))[0], x0[r],
+                       method="Nelder-Mead",
+                       options={"maxiter": maxiter, "xatol": xatol, "fatol": fatol})
+        assert np.array_equal(res.x, x[r]), r
+        assert (res.fun, res.nit, res.nfev) == (fval[r], nit[r], nfev[r]), r
+    return nit, nfev
+
+
+def test_lockstep_nelder_mead_is_scipy_row_by_row():
+    n, maxiter = 3, 120
+    fun, x0 = _nelder_mead_problems(n)
+    assert (x0 == 0).any()
+    nit, nfev = _assert_scipy_row_by_row(fun, x0, maxiter, 1e-4, 1e-4)
+    assert (nit < maxiter).any() and (nit == maxiter).any()
+    # every iteration makes one or two evaluations unless it shrinks
+    assert (nfev > n + 1 + 2 * (nit - 1)).any()
+
+
+def test_lockstep_nelder_mead_orders_ties_as_scipy():
+    """Above 16 vertices numpy's argsort does not keep ties in order; the
+    integer starts of the |x_i - c_i| rows tie most of their first simplex."""
+    n = 17
+    fun, x0 = _nelder_mead_problems(n)
+    unstable = 0
+    for r in range(len(x0)):
+        first = np.repeat(x0[r][None], n + 1, axis=0)
+        first[np.arange(n) + 1, np.arange(n)] = np.where(x0[r] != 0, 1.05 * x0[r], 0.00025)
+        f = fun(first, np.full(n + 1, r))
+        unstable += (np.argsort(f) != np.argsort(f, kind="stable")).any()
+    assert unstable > 0
+    _assert_scipy_row_by_row(fun, x0, 60, 1e-4, 1e-4)
 
 
 # ---------------------------------------------------------------------------
