@@ -20,7 +20,7 @@ from .errors import (
     InfeasibleDecompositionError,
     InfeasibleRateError,
 )
-from .files import load_game, load_scheme, parse_scheme, serialize_scheme
+from .files import load_game, load_scheme, parse_scheme, parse_yaml, serialize_scheme
 from .game_core import Game, SignalFunction, game_value
 from .info_measures import (
     CommonInfoSearch,
@@ -237,9 +237,8 @@ def cmd_simulate(args) -> int:
 
 
 def _joint_from_args(args):
-    import yaml
     with open(args.source, "r", encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh.read())
+        doc = parse_yaml(fh.read())
     if isinstance(doc, dict) and "joint" in doc:
         try:
             mass = np.asarray(doc["joint"], dtype=float)

@@ -17,11 +17,21 @@ from .game_core import DEFAULT_NEG_INF, ConditionalDistribution, Game
 from .rate_value import LayeredScheme, Scheme
 
 
-def _load_document(text):
+# libyaml's safe loader when pyyaml was built with it: the same documents,
+# parsed about ten times faster than by the pure-Python SafeLoader
+_SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def parse_yaml(text):
+    """The document of a YAML text, safe-loaded; GameFileError when invalid."""
     try:
-        doc = yaml.safe_load(text)
+        return yaml.load(text, Loader=_SAFE_LOADER)
     except yaml.YAMLError as exc:
         raise GameFileError(f"not valid YAML: {exc}") from exc
+
+
+def _load_document(text):
+    doc = parse_yaml(text)
     if not isinstance(doc, dict):
         raise GameFileError("top level must be a mapping of keys to values")
     return doc

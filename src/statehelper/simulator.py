@@ -307,6 +307,9 @@ TAIL_REGIMES = ("unreachable", "empty", "above_sup", "at_sup", "bulk",
                 "overflow", "lugannani_rice", "arg_nonpositive", "tiny_uw")
 THETA_MAX = 400.0  # a saddlepoint beyond this counts as all mass at the supremum
 THETA_RTOL = 1e-10  # saddlepoint solve: Newton step or bracket, relative to 1 + theta
+# prefixes solved at once across a match's trials (8 trials at n = 128); a
+# whole match at once would raise peak memory for no further gain
+TAIL_BATCH_ROWS = 1024
 
 
 class _CompetitorTail:
@@ -450,24 +453,34 @@ class ExactDecoderAdversary:
 
     prior_logw encodes what the adversary knows about the encoder's selection
     rule; likelihoods accumulate observed actions (and states when they are
-    only revealed causally).
+    only revealed causally).  A candidate of prior log weight -inf can never
+    regain weight, so only the others are kept (`kept`, in candidate order).
     """
 
     def __init__(self, game, scheme, candidates, prior_logw, sees_state_seq):
         self.game = game
-        self.cands = candidates  # (m, n)
-        self.logw = np.array(prior_logw, dtype=float)
+        prior_logw = np.asarray(prior_logw, dtype=float)
+        self.kept = np.flatnonzero(prior_logw > _NEG_INF)
+        self.cands = np.asarray(candidates)[self.kept]  # (kept, n)
+        self.logw = prior_logw[self.kept]
+        # every candidate's weight, the dropped ones exact zeros (see _posterior)
+        self._all_w = np.zeros(prior_logw.size)
         self.sees_state_seq = sees_state_seq
         with np.errstate(divide="ignore"):
             self.log_pa = np.log(scheme.p_a_given_u.rows)  # (u, a)
         self.p_a_rows = scheme.p_a_given_u.rows
 
     def _posterior(self):
-        m = self.logw.max()
+        m = self.logw.max(initial=_NEG_INF)
         if not np.isfinite(m):
             return None
         w = np.exp(self.logw - m)
-        return w / w.sum()
+        # normalized by the sum over every candidate: numpy's pairwise sum
+        # groups the kept weights by their positions in the full list, so
+        # this rounds as the unpruned posterior does and breaks B's exact
+        # ties the same way
+        self._all_w[self.kept] = w
+        return w / self._all_w.sum()
 
     def act(self, t, s_t, joint_sa, p_s_given_u):
         post = self._posterior()
@@ -498,7 +511,10 @@ class ExactDecoderAdversary:
         """Whether the true candidate alone has the highest posterior weight."""
         if true_idx is None:
             return False
-        top = self.logw[true_idx]
+        pos = np.searchsorted(self.kept, true_idx)
+        if pos == self.kept.size or self.kept[pos] != true_idx:
+            return False  # dropped: its weight is -inf
+        top = self.logw[pos]
         return bool(np.isfinite(top)) and np.count_nonzero(self.logw >= top) == 1
 
 
@@ -575,11 +591,55 @@ class _SchemeTables:
             self.marginal_br[1, s] = self._state_response(s, self.p_a_given_s[s])
             for u in range(nu):
                 self.decoded_br[1, s, u] = self._state_response(s, pa[u])
+        self._tails = {}
+        self._log_typical = {}
+        self._boxes = {}
 
     def _state_response(self, s, p_a):
         q = np.zeros_like(self.joint_sa)
         q[s] = p_a
         return _best_response_to_joint(q, self.game.payoff)
+
+    def competitor_tail(self, informed):
+        """The `_CompetitorTail` of a competitor codeword's log weight.
+
+        Cells by atom u, in a fixed order: suffix cells s (informed only),
+        then prefix cells (s, a).  Built once per match and informedness.
+        """
+        if informed not in self._tails:
+            ns, na = self.joint_sa.shape
+            prefix = (self.log_tilt if informed else self.log_ps_u).T  # (s, u)
+            cells = (prefix[:, None, :] + self.log_pa_u.T[None]).reshape(ns * na, -1)
+            if informed:
+                cells = np.vstack([self.log_tilt.T, cells])
+            self._tails[informed] = _CompetitorTail(
+                cells, np.log(np.maximum(self.p_u, 1e-300)))
+        return self._tails[informed]
+
+    def log_typical(self, state_counts, epsilon):
+        """`typicality_log_prob` of p_U codewords at the empirical state type.
+
+        Memoized by the state counts: a match sees few distinct ones.
+        """
+        key = (tuple(state_counts), epsilon)
+        if key not in self._log_typical:
+            target = _target_joint_us(state_counts / state_counts.sum(), self.scheme)
+            self._log_typical[key] = typicality_log_prob(state_counts, target,
+                                                         epsilon, self.p_u)
+        return self._log_typical[key]
+
+    def sampling_boxes(self, state_counts, epsilon, tilted):
+        """`_state_boxes` at the empirical state type, memoized by state counts.
+
+        The per-state symbol laws are p(u|s) when `tilted`, else p_U.
+        """
+        key = (tuple(state_counts), epsilon, tilted)
+        if key not in self._boxes:
+            target = _target_joint_us(state_counts / state_counts.sum(), self.scheme)
+            laws = (self.scheme.p_u_given_s.rows if tilted
+                    else np.tile(self.p_u, (self.prior.size, 1)))
+            self._boxes[key] = _state_boxes(state_counts, target, epsilon, laws)[0]
+        return self._boxes[key]
 
     @cached_property
     def averaged_solution(self):
@@ -662,25 +722,24 @@ def _run_virtual_trial(tables, cfg, rate, rng, adversary):
     deterministic "first" rule, the best response to the reproduced
     codeword; or, informed against a typical set of at most
     BOX_MATERIALIZE_CAP members, the exact decoder over sampled members; or
-    else the saddlepoint blend of `_analytic_payoffs`.
+    else the saddlepoint blend of `_AnalyticTrial`, whose trial is returned
+    in place of its payoffs until `_settle` solves its tails.
     """
     game, scheme = tables.game, tables.scheme
     n, selection = cfg.n, cfg.selection
     informed = adversary == "decoder_with_state"
     s_seq = rng.choice(tables.prior.size, size=n, p=tables.prior)
     state_counts = np.bincount(s_seq, minlength=tables.prior.size)
-    target = _target_joint_us(state_counts / n, scheme)
     log_n_codewords = int(np.ceil(n * rate - 1e-12)) * _LOG2
-    log_ptyp = typicality_log_prob(state_counts, target, cfg.epsilon, tables.p_u)
+    log_ptyp = tables.log_typical(state_counts, cfg.epsilon)
     lam = np.exp(min(log_n_codewords + log_ptyp, 700)) if np.isfinite(log_ptyp) else 0.0
     m = int(rng.poisson(min(lam, 1e9)))
     # members are plain codebook draws (p_U); a sent codeword drawn directly
     # follows the selection rule's law given the box
     enumerate_members = (informed and selection != "first"
                          and m <= BOX_MATERIALIZE_CAP)
-    laws = (scheme.p_u_given_s.rows if selection == "tilted" and not enumerate_members
-            else np.tile(tables.p_u, (tables.prior.size, 1)))
-    boxes = _state_boxes(state_counts, target, cfg.epsilon, laws)[0] if m else None
+    tilted = selection == "tilted" and not enumerate_members
+    boxes = tables.sampling_boxes(state_counts, cfg.epsilon, tilted) if m else None
     members = None
     if boxes is not None and enumerate_members:
         # every member is typical: the encoder and the adversary's prior
@@ -715,54 +774,82 @@ def _run_virtual_trial(tables, cfg, rate, rng, adversary):
                                     sees_state_seq=True)
         b_seq, decode = _decoder_play(tables, adv, s_seq, a_seq, true_idx)
     else:
-        pay, decode = _analytic_payoffs(tables, s_seq, a_seq, u_true, informed,
-                                        log_n_codewords)
-        return pay, decode, failed
+        # the payoffs wait for a saddlepoint solve shared with other trials
+        return _AnalyticTrial(tables, s_seq, a_seq, u_true, informed,
+                              log_n_codewords), None, failed
     return game.payoff[a_seq, b_seq, s_seq], decode, failed
 
 
-def _analytic_payoffs(tables, s_seq, a_seq, u_true, informed, log_n_codewords):
-    """Per-step payoffs and decode probabilities against competitor counts.
+class _AnalyticTrial:
+    """An analytic trial's draws, waiting for the saddlepoint tails of its prefixes.
 
     A competitor codeword's log weight is a sum of independent per-position
     atoms: cells keyed by (s, a) over the observed prefix and, for an
     informed adversary, by s alone over the unobserved suffix.  The decode
     probability after k steps approximates P(no competitor outweighs the
-    true codeword) through the saddlepoint tails of `_CompetitorTail`, all n
-    prefixes in one solve.
+    true codeword) through the saddlepoint tails of `_CompetitorTail`.
+    `counts` and `thresholds` hold one row per prefix length; rows are
+    independent, so the trials of a match can share one solve.
     """
-    ns, na = tables.joint_sa.shape
-    # cells by atom u, in a fixed order: suffix cells s (informed only), then
-    # prefix cells (s, a)
-    prefix = (tables.log_tilt if informed else tables.log_ps_u).T  # (s, u)
-    cells = (prefix[:, None, :] + tables.log_pa_u.T[None]).reshape(ns * na, -1)
-    if informed:
-        cells = np.vstack([tables.log_tilt.T, cells])
-    tail = _CompetitorTail(cells, np.log(np.maximum(tables.p_u, 1e-300)))
-    # competitor cell counts after each prefix length: step k adds a draw to
-    # its prefix cell, which an informed adversary takes from suffix cell s_k
-    eye = np.eye(len(cells))
-    counts = np.cumsum(eye[(ns if informed else 0) + s_seq * na + a_seq], axis=0)
-    if informed:
-        counts += eye[s_seq].sum(axis=0) - np.cumsum(eye[s_seq], axis=0)
-    # the true codeword's log weight after each prefix length
-    lik_steps = tables.log_pa_u[u_true, a_seq] if informed else \
-        tables.log_ps_u[u_true, s_seq] + tables.log_pa_u[u_true, a_seq]
-    tilt_total = tables.log_tilt[u_true, s_seq].sum() if informed else 0.0
-    log_beats = log_n_codewords + tail.log_tails(counts,
-                                                 tilt_total + np.cumsum(lik_steps))[0]
-    decode = np.where(log_beats > 700, 0.0,
-                      np.exp(-np.exp(np.minimum(log_beats, 700))))
-    # A modelling step, not a derivation: until the adversary has decoded,
-    # its posterior predictive is dominated by competitor codewords
-    # uncorrelated with the truth, so it best-responds to the scheme
-    # marginal; once decoded it exploits the codeword.  The two payoffs are
-    # blended by the decode probability after the previous step.
-    payoff, row = tables.game.payoff, int(informed)
-    pay_marg = payoff[a_seq, tables.marginal_br[row, s_seq], s_seq]
-    pay_dec = payoff[a_seq, tables.decoded_br[row, s_seq, u_true], s_seq]
-    shift = np.concatenate([[0.0], decode[:-1]])
-    return (1.0 - shift) * pay_marg + shift * pay_dec, decode
+
+    def __init__(self, tables, s_seq, a_seq, u_true, informed, log_n_codewords):
+        self.tables, self.s_seq, self.a_seq = tables, s_seq, a_seq
+        self.u_true, self.informed = u_true, informed
+        self.log_n_codewords = log_n_codewords
+        self.tail = tables.competitor_tail(informed)
+        ns, na = tables.joint_sa.shape
+        # competitor cell counts after each prefix length: step k adds a draw to
+        # its prefix cell, which an informed adversary takes from suffix cell s_k
+        eye = np.eye(len(self.tail.values))
+        counts = np.cumsum(eye[(ns if informed else 0) + s_seq * na + a_seq], axis=0)
+        if informed:
+            counts += eye[s_seq].sum(axis=0) - np.cumsum(eye[s_seq], axis=0)
+        self.counts = counts
+        # the true codeword's log weight after each prefix length
+        lik_steps = tables.log_pa_u[u_true, a_seq] if informed else \
+            tables.log_ps_u[u_true, s_seq] + tables.log_pa_u[u_true, a_seq]
+        tilt_total = tables.log_tilt[u_true, s_seq].sum() if informed else 0.0
+        self.thresholds = tilt_total + np.cumsum(lik_steps)
+
+    def payoffs(self, log_tails):
+        """Per-step payoffs and decode probabilities given the prefixes' log tails."""
+        tables, s_seq, a_seq, u_true = self.tables, self.s_seq, self.a_seq, self.u_true
+        log_beats = self.log_n_codewords + log_tails
+        decode = np.where(log_beats > 700, 0.0,
+                          np.exp(-np.exp(np.minimum(log_beats, 700))))
+        # A modelling step, not a derivation: until the adversary has decoded,
+        # its posterior predictive is dominated by competitor codewords
+        # uncorrelated with the truth, so it best-responds to the scheme
+        # marginal; once decoded it exploits the codeword.  The two payoffs are
+        # blended by the decode probability after the previous step.
+        payoff, row = tables.game.payoff, int(self.informed)
+        pay_marg = payoff[a_seq, tables.marginal_br[row, s_seq], s_seq]
+        pay_dec = payoff[a_seq, tables.decoded_br[row, s_seq, u_true], s_seq]
+        shift = np.concatenate([[0.0], decode[:-1]])
+        return (1.0 - shift) * pay_marg + shift * pay_dec, decode
+
+
+def _analytic_payoffs(tables, s_seq, a_seq, u_true, informed, log_n_codewords):
+    """Per-step payoffs and decode probabilities of one analytic trial, solved alone."""
+    trial = _AnalyticTrial(tables, s_seq, a_seq, u_true, informed, log_n_codewords)
+    return trial.payoffs(trial.tail.log_tails(trial.counts, trial.thresholds)[0])
+
+
+def _settle(outcomes):
+    """Trial outcomes with each `_AnalyticTrial` replaced by its payoffs.
+
+    The analytic trials' prefixes share one saddlepoint solve.
+    """
+    pending = [i for i, (pay, _, _) in enumerate(outcomes)
+               if isinstance(pay, _AnalyticTrial)]
+    if pending:
+        trials = [outcomes[i][0] for i in pending]
+        log_tails = trials[0].tail.log_tails(
+            np.vstack([trial.counts for trial in trials]),
+            np.concatenate([trial.thresholds for trial in trials]))[0]
+        for i, trial, part in zip(pending, trials, np.split(log_tails, len(trials))):
+            outcomes[i] = (*trial.payoffs(part), outcomes[i][2])
+    return outcomes
 
 
 def adversary_play(model: str, past_states, past_actions, codebook: Codebook,
@@ -822,12 +909,17 @@ def run_match(game: Game, scheme: Scheme, rate: float, config: MatchConfig
     pay_sum = np.zeros(n)
     dec_sum = np.zeros(n)
     failures = 0
-    for trial in range(trials):
-        pay, dec, failed = run_trial(tables, config, rate,
-                                     _trial_rng(config.seed, trial), adversary)
-        pay_sum += pay
-        dec_sum += dec
-        failures += int(failed)
+    # trials run in groups whose analytic prefixes share a saddlepoint solve;
+    # each trial draws from its own stream and sums add in trial order
+    group = max(1, TAIL_BATCH_ROWS // n)
+    for first in range(0, trials, group):
+        outcomes = [run_trial(tables, config, rate, _trial_rng(config.seed, trial),
+                              adversary)
+                    for trial in range(first, min(first + group, trials))]
+        for pay, dec, failed in _settle(outcomes):
+            pay_sum += pay
+            dec_sum += dec
+            failures += int(failed)
     per_iter = pay_sum / trials
     return MatchResult(
         per_iteration_payoff=per_iter,

@@ -236,6 +236,14 @@ def test_common_info_joint_file(tmp_path, capsys):
     assert "p_s_given_u" in out
 
 
+def test_common_info_invalid_yaml_exit_code(tmp_path, capsys):
+    """The joint file goes through the same YAML check as game files."""
+    path = tmp_path / "broken.yaml"
+    path.write_text("joint: [unclosed\n")
+    assert main(["common-info", str(path), "--card-u", "2"]) == 2
+    assert "not valid YAML" in capsys.readouterr().err
+
+
 def test_common_info_game_plus_scheme(erasure_file, scheme_file, capsys):
     assert main(["common-info", erasure_file, "--scheme", scheme_file,
                  "--card-u", "3", "--restarts", "30"]) == 0

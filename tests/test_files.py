@@ -1,7 +1,13 @@
 """Game and scheme file parsing, serialization, and diagnostics."""
 
+import importlib.util
+import math
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import yaml
 
 from statehelper import (
     GameFileError,
@@ -13,7 +19,18 @@ from statehelper import (
     serialize_scheme,
 )
 
-from conftest import make_erasure_game, make_optimal_erasure_scheme
+from statehelper import files
+
+from conftest import (
+    make_degenerate_game,
+    make_erasure_game,
+    make_fig1_game,
+    make_optimal_erasure_scheme,
+    random_game,
+    random_scheme,
+)
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
 ERASURE_YAML = """
 states: ["0", "1"]
@@ -80,8 +97,7 @@ def test_scheme_round_trip():
     assert np.array_equal(again.p_a_given_u.rows, scheme.p_a_given_u.rows)
 
 
-def test_layered_scheme_detection_and_round_trip():
-    text = """
+LAYERED_YAML = """
 p_u_given_s:
   - [0.8, 0.2]
   - [0.2, 0.8]
@@ -96,7 +112,10 @@ p_a_given_u1_u2:
   - [0.5, 0.5]
   - [0.0, 1.0]
 """
-    scheme = parse_scheme(text)
+
+
+def test_layered_scheme_detection_and_round_trip():
+    scheme = parse_scheme(LAYERED_YAML)
     assert isinstance(scheme, LayeredScheme)
     again = parse_scheme(serialize_scheme(scheme))
     assert isinstance(again, LayeredScheme)
@@ -111,3 +130,69 @@ def test_parse_scheme_diagnostics():
                      "  - [1.0]\n  - [1.0]\n")
     with pytest.raises(GameFileError, match="cardinalities differ"):
         parse_scheme("p_u_given_s:\n  - [0.5, 0.5]\np_a_given_u:\n  - [1.0]\n")
+
+
+# ---------------------------------------------------------------------------
+# the libyaml loader reads every document as the pure-Python one does
+
+
+def _suite_yaml_texts(tmp_path):
+    """The YAML texts the tests and the benchmark's inputs feed the parsers."""
+    rng = np.random.default_rng(0)
+    texts = [ERASURE_YAML, ERASURE_YAML + "neg_inf_value: -999.0\n",
+             ERASURE_YAML.replace("[0, 3]", "[0, oops]"),
+             ERASURE_YAML.replace("[0.5, 0.5]", "[1.0]"), LAYERED_YAML,
+             "states: [unclosed\n", "- just\n- a\n- list\n",
+             "states: [a]\nactions_a: [x]\nactions_b: [y]\npayoffs: []\n",
+             "p_u_given_s:\n  - [1.0]\n",
+             "p_u_given_s:\n  - [0.9, 0.3]\np_a_given_u:\n  - [1.0]\n  - [1.0]\n",
+             "p_u_given_s: [[.nan, .nan, .nan], [0.0, 0.5, 0.5]]\n"
+             "p_a_given_u: [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.0, 1.0, 0.0]]\n",
+             "joint:\n  - [0.5, 0.0]\n  - [0.0, 0.5]\n"]
+    texts += [serialize_game(game) for game in (
+        make_erasure_game(), make_fig1_game(), make_degenerate_game(),
+        random_game(rng, n_states=12, n_actions_a=4, n_actions_b=4))]
+    texts += [serialize_scheme(scheme) for scheme in (
+        make_optimal_erasure_scheme(), parse_scheme(LAYERED_YAML),
+        random_scheme(rng, n_states=3, card_u=4, n_actions=3))]
+    spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
+    workloads = sys.modules["workloads"] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for workload in ("simulate", "analyze"):
+        for seed in (1, 2, 303):
+            inputs = workloads.write_inputs(workload, seed,
+                                            str(tmp_path / f"{workload}{seed}"))
+            texts += [Path(path).read_text() for path in inputs.files.values()]
+    return texts
+
+
+def _same_document(a, b):
+    """Equal documents: the same types and values, NaN equal to NaN."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(_same_document(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same_document, a, b))
+    if isinstance(a, float) and math.isnan(a):
+        return math.isnan(b)
+    return a == b
+
+
+def _load(text, loader):
+    try:
+        return yaml.load(text, Loader=loader)
+    except yaml.YAMLError:
+        return yaml.YAMLError
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="pyyaml built without libyaml")
+def test_libyaml_loader_reads_the_documents_of_the_pure_python_loader(tmp_path):
+    assert files._SAFE_LOADER is yaml.CSafeLoader
+    texts = _suite_yaml_texts(tmp_path)
+    assert len(texts) > 40
+    for text in texts:
+        assert _same_document(_load(text, yaml.CSafeLoader),
+                              _load(text, yaml.SafeLoader)), text
+    with pytest.raises(GameFileError, match="not valid YAML"):
+        files.parse_yaml("states: [unclosed\n")

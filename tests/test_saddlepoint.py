@@ -16,13 +16,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from statehelper import simulator
+from statehelper import MatchConfig, run_match, simulator
 from statehelper.simulator import (
+    TAIL_BATCH_ROWS,
     TAIL_REGIMES,
     THETA_MAX,
     _analytic_payoffs,
+    _AnalyticTrial,
     _CompetitorTail,
+    _run_virtual_trial,
     _SchemeTables,
+    _trial_rng,
 )
 
 from conftest import make_erasure_game, make_optimal_erasure_scheme
@@ -327,3 +331,46 @@ def test_analytic_payoffs_match_scalar_reference(monkeypatch, informed):
     assert np.max(np.abs(array_path[:, 1] - reference[:, 1])) <= 1e-8
     assert np.max(np.abs(array_path[:, 0] - reference[:, 0])) <= 3e-8
     assert np.max(np.abs(array_path.mean(axis=0) - reference.mean(axis=0))) <= 1e-9
+
+
+def _trial_by_trial_match(game, scheme, rate, config):
+    """The per-iteration payoff and decode sums of a match whose every trial
+    builds its own tables (so no tail or box work is shared) and solves its
+    own tails through `_analytic_payoffs`, in trial order."""
+    pay_sum, dec_sum, failures = np.zeros(config.n), np.zeros(config.n), 0
+    for trial in range(config.trials):
+        pay, dec, failed = _run_virtual_trial(_SchemeTables(game, scheme), config,
+                                              rate, _trial_rng(config.seed, trial),
+                                              config.adversary)
+        if isinstance(pay, _AnalyticTrial):
+            pay, dec = _analytic_payoffs(pay.tables, pay.s_seq, pay.a_seq,
+                                         pay.u_true, pay.informed,
+                                         pay.log_n_codewords)
+        pay_sum += pay
+        dec_sum += dec
+        failures += int(failed)
+    return pay_sum / config.trials, dec_sum / config.trials, failures / config.trials
+
+
+@pytest.mark.parametrize("n, rate", [(128, 0.655639), (100, 0.7)])
+def test_batched_match_is_the_trial_by_trial_match(monkeypatch, n, rate):
+    """At the criterion-7 point (and at an n whose trials do not fill a batch
+    evenly) a match that shares each saddlepoint solve among its trials and
+    memoizes the box work equals, to the last bit, one that does neither."""
+    game, scheme = make_erasure_game(), make_optimal_erasure_scheme()
+    config = MatchConfig(n=n, trials=16, adversary="decoder_with_state", seed=0)
+    solves = []
+    log_tails = _CompetitorTail.log_tails
+
+    def counted(tail, counts, thresholds):
+        solves.append(len(thresholds))
+        return log_tails(tail, counts, thresholds)
+
+    monkeypatch.setattr(_CompetitorTail, "log_tails", counted)
+    result = run_match(game, scheme, rate, config)
+    group = TAIL_BATCH_ROWS // n
+    assert solves == [n * min(group, 16 - i) for i in range(0, 16, group)]
+    payoff, decode, failure_rate = _trial_by_trial_match(game, scheme, rate, config)
+    assert np.array_equal(result.per_iteration_payoff, payoff)
+    assert np.array_equal(result.decode_success, decode)
+    assert result.encoder_failure_rate == failure_rate

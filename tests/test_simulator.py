@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from statehelper import (
     ConditionalDistribution,
@@ -15,15 +17,28 @@ from statehelper import (
     deterministic_baseline,
     encode,
     run_match,
+    simulator,
 )
 from statehelper.simulator import (
     EncoderFailure,
+    ExactDecoderAdversary,
+    _best_response_to_joint,
+    _decoder_play,
+    _rule_prior,
+    _SchemeTables,
+    _select_codeword,
+    _typical_codewords,
     codeword_count,
     is_jointly_typical,
     optimal_state_strategy,
 )
 
-from conftest import make_erasure_game, make_optimal_erasure_scheme
+from conftest import (
+    make_erasure_game,
+    make_optimal_erasure_scheme,
+    random_game,
+    random_scheme,
+)
 
 UNIFORM2 = np.array([0.5, 0.5])
 
@@ -309,3 +324,113 @@ def test_adversary_play_reproduces_the_first_rule(erasure_game, optimal_scheme):
             assert b == best, (seed, t)
             calls += 1
     assert calls >= 600
+
+
+# ---------------------------------------------------------------------------
+# the exact decoder keeps only candidates of finite prior weight
+
+
+class KeepEveryCandidate(ExactDecoderAdversary):
+    """Reference decoder: the posterior over every candidate of the codebook,
+    -inf prior weights included."""
+
+    def __init__(self, game, scheme, candidates, prior_logw, sees_state_seq):
+        super().__init__(game, scheme, candidates, np.zeros(len(prior_logw)),
+                         sees_state_seq)
+        self.logw = np.array(prior_logw, dtype=float)
+
+    def _posterior(self):
+        m = self.logw.max()
+        if not np.isfinite(m):
+            return None
+        w = np.exp(self.logw - m)
+        return w / w.sum()
+
+    def decoded_true(self, true_idx):
+        if true_idx is None:
+            return False
+        top = self.logw[true_idx]
+        return bool(np.isfinite(top)) and np.count_nonzero(self.logw >= top) == 1
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12),
+       rate=st.sampled_from([0.4, 0.6, 0.8, 1.0]),
+       selection=st.sampled_from(["tilted", "uniform", "first"]),
+       erasure=st.booleans())
+def test_property_pruned_decoder_plays_as_the_full_posterior(seed, n, rate,
+                                                             selection, erasure):
+    """Dropping the candidates of prior weight zero changes no action of B
+    and no decode indicator, whether or not the encoder finds a codeword."""
+    rng = np.random.default_rng(seed)
+    if erasure:
+        game, scheme = make_erasure_game(), make_optimal_erasure_scheme()
+    else:
+        game = random_game(rng, n_states=2, n_actions_a=3, n_actions_b=3)
+        scheme = random_scheme(rng, n_states=2, card_u=3, n_actions=3)
+    tables = _SchemeTables(game, scheme)
+    s_seq = rng.choice(2, size=n, p=game.prior)
+    book = build_codebook(scheme, n, rate, int(rng.integers(1 << 62)),
+                          prior=game.prior)
+    idx, log_w = _typical_codewords(book.sequences, s_seq, scheme, 0.1)
+    try:
+        true_idx = _select_codeword(idx, log_w, selection, int(rng.integers(1 << 62)))
+        a_seq = decode_actions(book.sequences[true_idx], scheme,
+                               int(rng.integers(1 << 62)))
+    except EncoderFailure:
+        true_idx, a_seq = None, rng.choice(3, size=n)
+    prior = _rule_prior(idx, log_w, selection)
+    pruned = ExactDecoderAdversary(game, scheme, book.sequences, prior, True)
+    full = KeepEveryCandidate(game, scheme, book.sequences, prior, True)
+    assert np.array_equal(pruned.kept, np.flatnonzero(np.isfinite(prior)))
+    got = _decoder_play(tables, pruned, s_seq, a_seq, true_idx)
+    want = _decoder_play(tables, full, s_seq, a_seq, true_idx)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+
+
+def test_pruned_decoder_breaks_exact_ties_as_the_full_posterior(monkeypatch,
+                                                                erasure_game,
+                                                                optimal_scheme):
+    """Trial 271 of a seed-2 match at n = 16: after two steps B's two actions
+    tie exactly (0.75 each), so the rounding of the posterior picks B's
+    action.  Normalizing over the kept weights alone rounds differently and
+    flips it at step 3."""
+    tables = _SchemeTables(erasure_game, optimal_scheme)
+    config = MatchConfig(n=16, trials=300, adversary="decoder_with_state",
+                         epsilon=0.1, seed=2)
+    got = simulator._run_exact_trial(tables, config, 0.8,
+                                     simulator._trial_rng(2, 271),
+                                     "decoder_with_state")
+    monkeypatch.setattr(simulator, "ExactDecoderAdversary", KeepEveryCandidate)
+    want = simulator._run_exact_trial(tables, config, 0.8,
+                                      simulator._trial_rng(2, 271),
+                                      "decoder_with_state")
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert want[0][2] == 0.0  # the tie went to B's first action
+
+
+def test_decoder_without_candidates_plays_the_marginal(erasure_game, optimal_scheme):
+    """An all -inf prior leaves no candidate: B best-responds to the scheme
+    marginal in every state and never decodes."""
+    tables = _SchemeTables(erasure_game, optimal_scheme)
+    book = build_codebook(optimal_scheme, n=12, rate=0.8, seed=4)
+    prior = np.full(book.count, -np.inf)
+    adv = ExactDecoderAdversary(erasure_game, optimal_scheme, book.sequences,
+                                prior, sees_state_seq=True)
+    assert adv.kept.size == 0 and adv.cands.shape == (0, 12)
+    s_seq = np.random.default_rng(6).integers(0, 2, size=12)
+    b_seq, decode = _decoder_play(tables, adv, s_seq, np.ones(12, dtype=int), 3)
+    marginal = [_best_response_to_joint(np.where(np.arange(2)[:, None] == s,
+                                                 tables.joint_sa, 0.0),
+                                        erasure_game.payoff) for s in s_seq]
+    assert np.array_equal(b_seq, marginal)
+    assert not decode.any()
+    assert not adv.decoded_true(0) and not adv.decoded_true(None)
+
+
+def test_uninformed_decoder_keeps_every_candidate(erasure_game, optimal_scheme):
+    book = build_codebook(optimal_scheme, n=12, rate=0.8, seed=4)
+    adv = ExactDecoderAdversary(erasure_game, optimal_scheme, book.sequences,
+                                np.zeros(book.count), sees_state_seq=False)
+    assert np.array_equal(adv.cands, book.sequences)
