@@ -44,6 +44,7 @@ SELECTIONS = ("tilted", "uniform", "first")
 
 _LOG2 = np.log(2.0)
 _NEG_INF = -np.inf
+_CHOICE_ATOL = np.sqrt(np.finfo(float).eps)  # Generator.choice's slack on sum(p)
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +74,11 @@ def build_codebook(scheme: Scheme, n: int, rate: float, seed: int,
     """i.i.d. p_U codebook of 2^ceil(n*rate) sequences, deterministic given seed.
 
     `prior` is the state distribution defining the marginal p_U; uniform
-    states are assumed when omitted.
+    states are assumed when omitted.  Each symbol is an inverse-cdf draw:
+    the number of entries of the normalized cumulative p_U at or below one
+    uniform of `default_rng(seed).random((count, n))`.  These are the
+    uniforms and the inverse cdf of `Generator.choice(card_u, size=(count,
+    n), p=p_U)`, so the codebook is that call's, symbol for symbol.
     """
     if n < 1 or rate < 0:
         raise ContractViolationError("need n >= 1 and rate >= 0")
@@ -85,9 +90,18 @@ def build_codebook(scheme: Scheme, n: int, rate: float, seed: int,
         prior = np.full(scheme.p_u_given_s.from_size,
                         1.0 / scheme.p_u_given_s.from_size)
     p_u = scheme.p_u(prior)
-    rng = np.random.default_rng(seed)
-    seqs = rng.choice(scheme.card_u, size=(count, n), p=p_u)
-    return Codebook(n=n, rate=float(rate), sequences=seqs.astype(np.int16), seed=seed)
+    # Generator.choice's checks on p; a NaN fails both comparisons.  p_U is
+    # not renormalized here: its cdf must round as choice's does.
+    if not (np.all(p_u >= 0) and abs(p_u.sum() - 1.0) <= _CHOICE_ATOL):
+        raise ContractViolationError(
+            f"codeword law p_U = {p_u} is not a probability vector")
+    cdf = np.cumsum(p_u)
+    cdf /= cdf[-1]
+    u = np.random.default_rng(seed).random((count, n))
+    seqs = np.zeros((count, n), dtype=np.int16)
+    for edge in cdf[:-1]:  # u < 1 = cdf[-1], so the last edge counts nothing
+        seqs += u >= edge
+    return Codebook(n=n, rate=float(rate), sequences=seqs, seed=seed)
 
 
 def _typical_cells(counts, n, target, epsilon):
@@ -104,19 +118,30 @@ def _typical_cells(counts, n, target, epsilon):
 def _typical_set(sequences, state_seq, target_joint, epsilon):
     """Joint (u, s) types of sequences against one state sequence, and typicality.
 
-    The typical-set kernel: a single flat-offset bincount counts every row
-    at once.  Returns counts of shape (rows, |U|, |S|) and the mask of rows
-    whose every cell passes `_typical_cells`.
+    The typical-set kernel.  Each state's positions form one column block,
+    and a cell's counts are the matches of u in that block, per row.  A
+    count of cell (u, s) is an integer in 0..n_s, so `_typical_cells` is
+    evaluated once on each of those integers and looked up per row: the
+    same float test on the same numbers.  Returns counts of shape
+    (rows, |U|, |S|) and the mask of rows whose every cell passes.
     """
     seqs = np.atleast_2d(np.asarray(sequences))
+    state_seq = np.asarray(state_seq)
     rows, n = seqs.shape
     card_u, ns = target_joint.shape
-    cells = card_u * ns
-    flat = np.arange(rows)[:, None] * cells + seqs * ns + np.asarray(state_seq)
-    counts = np.bincount(flat.ravel(), minlength=rows * cells)
-    counts = counts.reshape(rows, card_u, ns)
-    typical = _typical_cells(counts, n, target_joint, epsilon).all(axis=(1, 2))
-    return counts, typical
+    counts = np.empty((card_u, ns, rows), dtype=np.int64)  # one row per cell
+    typical = np.ones(rows, dtype=bool)
+    for s in range(ns):
+        block = seqs[:, state_seq == s]
+        n_s = block.shape[1]
+        values = np.arange(n_s + 1)
+        # the narrowest unsigned type holding n_s sums fastest, never wraps
+        acc = np.min_scalar_type(n_s)
+        for u in range(card_u):
+            counts[u, s] = (block == u).sum(axis=1, dtype=acc)
+            typical &= _typical_cells(values, n, target_joint[u, s],
+                                      epsilon)[counts[u, s]]
+    return counts.transpose(2, 0, 1), typical
 
 
 def is_jointly_typical(u_seq, s_seq, target_joint, epsilon):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from statehelper import (
@@ -75,6 +75,71 @@ def test_build_codebook_symbol_frequencies():
         freq = (book.sequences == u).mean()
         sigma = np.sqrt(p_u[u] * (1 - p_u[u]) / total)
         assert abs(freq - p_u[u]) <= 4 * sigma + 1e-12
+
+
+@st.composite
+def codeword_laws(draw):
+    """p(u|s) rows sharing one support, zero-mass symbols anywhere, and a
+    state prior: p_U has the zeros of the support."""
+    support = draw(st.lists(st.integers(0, 4), min_size=1, max_size=6).filter(any))
+    ns = draw(st.integers(1, 3))
+    rows = [[w * draw(st.integers(1, 5)) for w in support] for _ in range(ns)]
+    prior = draw(st.lists(st.integers(1, 5), min_size=ns, max_size=ns))
+    return rows, prior
+
+
+@settings(max_examples=150, deadline=None)
+@given(law=codeword_laws(), n=st.integers(1, 12),
+       rate=st.sampled_from([0.0, 0.3, 0.5, 0.8]), seed=st.integers(0, 2**63 - 1))
+@example(law=([[0, 2, 1], [0, 1, 1]], [1, 3]), n=8, rate=0.5, seed=1)
+@example(law=([[3, 0, 0, 1]], [1]), n=7, rate=0.8, seed=2)
+@example(law=([[1, 1, 2, 0], [2, 1, 1, 0]], [2, 1]), n=12, rate=0.3, seed=3)
+@example(law=([[5]], [1]), n=4, rate=0.5, seed=4)
+def test_property_codebook_is_the_choice_stream(law, n, rate, seed):
+    """The codebook is `Generator.choice` of its seed, symbol for symbol,
+    with zero-mass symbols first, in the middle or last."""
+    rows, prior = (np.array(x, dtype=float) for x in law)
+    prior /= prior.sum()
+    scheme = Scheme(ConditionalDistribution(rows / rows.sum(axis=1, keepdims=True)),
+                    ConditionalDistribution(np.ones((rows.shape[1], 1))))
+    book = build_codebook(scheme, n, rate, seed, prior=prior)
+    want = np.random.default_rng(seed).choice(
+        rows.shape[1], size=(codeword_count(n, rate), n), p=scheme.p_u(prior))
+    assert book.sequences.dtype == np.int16
+    assert np.array_equal(book.sequences, want.astype(np.int16))
+
+
+@pytest.mark.parametrize("prior", [[-0.5, 1.5], [1.0, 1.0], [np.nan, 1.0]],
+                         ids=["negative", "sums-to-2", "nan"])
+def test_build_codebook_rejects_a_bad_prior(prior):
+    with pytest.raises(ValueError):
+        build_codebook(make_optimal_erasure_scheme(), n=8, rate=0.5, seed=0,
+                       prior=np.array(prior))
+
+
+# Per-iteration payoffs and decode rates of two materialized matches (erasure
+# game, optimal scheme, n = 12, rate 0.8, 20 trials, seed 4), recorded before
+# the codebook draw was rewritten from Generator.choice to its inverse cdf.
+# A change that moves the random stream on purpose updates these and says so.
+STREAM_PIN = {
+    "decoder_with_state": (
+        [0.4, 0.3, 0.55, 0.45, 0.45, 0.35, 0.25, 0.3, 0.35, 0.35, 0.2, 0.35],
+        [0.45, 0.4, 0.5, 0.65, 0.7, 0.65, 0.65, 0.7, 0.7, 0.75, 0.8, 0.7]),
+    "oblivious": (
+        [0.7, 0.75, 0.6, 0.7, 1.0, 0.65, 0.85, 0.75, 0.65, 0.6, 0.9, 0.55],
+        [0.0] * 12),
+}
+
+
+@pytest.mark.parametrize("adversary", sorted(STREAM_PIN))
+def test_materialized_match_stream_is_pinned(adversary, erasure_game,
+                                             optimal_scheme):
+    result = run_match(erasure_game, optimal_scheme, 0.8,
+                       MatchConfig(n=12, trials=20, adversary=adversary, seed=4))
+    payoffs, decode = STREAM_PIN[adversary]
+    assert result.per_iteration_payoff.tolist() == payoffs
+    assert result.decode_success.tolist() == decode
+    assert result.encoder_failure_rate == 0.1
 
 
 def test_encode_single_candidate_and_failure():

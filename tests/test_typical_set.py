@@ -122,3 +122,32 @@ def test_box_members_pass_the_kernel(block, epsilon, tilted, seed):
     codeword = _sample_box_codeword(np.random.default_rng(seed), s_seq, boxes)
     if codeword is not None:
         assert _typical_set(codeword, s_seq, target, epsilon)[1][0]
+
+
+@st.composite
+def edge_boxes(draw):
+    """Codewords, a state sequence in which some states never occur, and a
+    target with zero cells whose box edges target * n +- epsilon * n land on
+    the counts of the first codeword, exactly or 1e-10 / n to either side."""
+    n = draw(st.integers(1, 10))
+    card_u = draw(st.integers(1, 3))
+    ns = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    s_seq = rng.integers(0, draw(st.integers(1, ns)), size=n)
+    seqs = rng.integers(0, card_u, size=(draw(st.integers(1, 40)), n))
+    counts = _naive_counts(seqs[:1], s_seq, card_u, ns)[0]
+    j = draw(st.integers(0, 2))
+    shift = rng.choice([-j, 0, j], size=counts.shape)
+    nudge = draw(st.sampled_from([0.0, 1e-10, -1e-10]))
+    target = np.maximum((counts + shift + nudge) / n, 0.0)
+    target[rng.random(target.shape) < 0.2] = 0.0
+    return seqs.astype(np.int16), s_seq, target, j / n
+
+
+@SETTINGS
+@given(edge_boxes())
+def test_kernel_mask_is_the_cell_test_on_its_counts(box):
+    seqs, s_seq, target, epsilon = box
+    counts, typical = _typical_set(seqs, s_seq, target, epsilon)
+    want = _typical_cells(counts, seqs.shape[1], target, epsilon).all(axis=(1, 2))
+    assert np.array_equal(typical, want)
