@@ -19,6 +19,13 @@ process on the same cases:
   virtual n = 100 point whose trials do not fill the saddlepoint batches
   evenly, and a virtual n = 40 point whose informed decoder enumerates the
   typical set (90 cases);
+- the same adversaries, selections and seeds on a random game with 3
+  states and 3 actions per player and a random scheme with 3 symbols
+  (`conftest.random_game`, then `conftest.random_scheme`, from
+  `default_rng(0)`), at two points (`RANDOM_POINTS`): a materialized
+  n = 12 codebook where about a third of the trials fail to encode, and
+  the n = 12 point forced virtual (codebook cap 1), where the informed
+  decoder enumerates the typical set (36 cases);
 - the two 300-trial matches of the test suite's exact-against-virtual
   check (n = 16, seed 2, materialized and forced virtual), whose trial 271
   meets an exact tie between B's actions.
@@ -60,6 +67,11 @@ GRID_POINTS = (  # (name, n, rate, epsilon)
     ("virtual-100", 100, 0.7, 0.05),
     ("virtual-40", 40, 0.6, 0.05),
 )
+RANDOM_SEED = 0
+RANDOM_POINTS = (  # (name, n, rate, epsilon, codebook cap or None)
+    ("random-exact-12", 12, 0.3, 0.1, None),
+    ("random-virtual-12", 12, 0.5, 0.1, 1),
+)
 # (name, codebook cap) of the suite's exact-against-virtual matches
 SUITE_MATCHES = (("suite-exact", None), ("suite-virtual", 1))
 
@@ -83,6 +95,23 @@ def print_match(case, result):
                       "mean_payoff": result.mean_payoff}))
 
 
+def run_grid(game, scheme, points):
+    """Every adversary, selection and grid seed at each (name, n, rate,
+    epsilon, codebook cap or None) point, on the side's statehelper."""
+    from statehelper import MatchConfig, run_match
+    for name, n, rate, epsilon, cap in points:
+        for adversary in ADVERSARIES:
+            for selection in SELECTIONS:
+                for seed in GRID_SEEDS:
+                    config = MatchConfig(n=n, trials=GRID_TRIALS, epsilon=epsilon,
+                                         adversary=adversary,
+                                         b_knows_state=adversary != "decoder",
+                                         seed=seed, selection=selection,
+                                         **({"codebook_cap": cap} if cap else {}))
+                    print_match([name, adversary, selection, seed],
+                                run_match(game, scheme, rate, config))
+
+
 def run_side(src):
     """One JSON record per case, then one with the timings."""
     sys.path.insert(0, str(src))
@@ -102,16 +131,11 @@ def run_side(src):
             print(json.dumps({"case": ["simulate", seed, i % 3], "exit": code,
                               "output": text.getvalue()}))
     start = time.perf_counter()
-    for name, n, rate, epsilon in GRID_POINTS:
-        for adversary in ADVERSARIES:
-            for selection in SELECTIONS:
-                for seed in GRID_SEEDS:
-                    config = MatchConfig(n=n, trials=GRID_TRIALS, epsilon=epsilon,
-                                         adversary=adversary,
-                                         b_knows_state=adversary != "decoder",
-                                         seed=seed, selection=selection)
-                    print_match([name, adversary, selection, seed],
-                                run_match(game, scheme, rate, config))
+    run_grid(game, scheme, [(*point, None) for point in GRID_POINTS])
+    rng = np.random.default_rng(RANDOM_SEED)
+    random_game = conftest.random_game(rng, n_states=3, n_actions_a=3, n_actions_b=3)
+    random_scheme = conftest.random_scheme(rng, n_states=3, card_u=3, n_actions=3)
+    run_grid(random_game, random_scheme, RANDOM_POINTS)
     for name, cap in SUITE_MATCHES:
         config = MatchConfig(n=16, trials=300, adversary="decoder_with_state",
                              epsilon=0.1, seed=2,

@@ -33,6 +33,7 @@ from .game_core import (
     Game,
     optimal_state_strategy,
     solve_matrix_game,
+    validate_prob_vector,
 )
 from .rate_value import Scheme, scheme_statistics
 
@@ -89,6 +90,8 @@ def build_codebook(scheme: Scheme, n: int, rate: float, seed: int,
     if prior is None:
         prior = np.full(scheme.p_u_given_s.from_size,
                         1.0 / scheme.p_u_given_s.from_size)
+    # checked only: its renormalized copy would move p_U, and so the stream
+    validate_prob_vector(prior, what="state prior")
     p_u = scheme.p_u(prior)
     # Generator.choice's checks on p; a NaN fails both comparisons.  p_U is
     # not renormalized here: its cdf must round as choice's does.
@@ -450,21 +453,15 @@ class _CompetitorTail:
 # adversaries
 
 
-class ObliviousAdversary:
-    """Plays a fixed minimax mix every iteration, one row of `mixes` per state.
-
-    For an opponent blind to the state every row is the averaged game's mix.
-    """
-
-    def __init__(self, mixes, rng):
-        self.cdf = np.cumsum(mixes, axis=1)
-        self.cdf /= self.cdf[:, -1:]
-        self.rng = rng
-
-    def play_block(self, state_seq):
-        # the same uniforms and inverse cdf as Generator.choice per position
-        u = self.rng.random(len(state_seq))
-        return (self.cdf[np.asarray(state_seq)] <= u[:, None]).sum(axis=1)
+def _oblivious_play(mixes, rng, state_seq):
+    """B's play of a fixed minimax mix at every position, one row of `mixes`
+    per state; for an opponent blind to the state every row is the averaged
+    game's mix."""
+    cdf = np.cumsum(mixes, axis=1)
+    cdf /= cdf[:, -1:]
+    # the same uniforms and inverse cdf as Generator.choice per position
+    u = rng.random(len(state_seq))
+    return (cdf[np.asarray(state_seq)] <= u[:, None]).sum(axis=1)
 
 
 def _best_response_to_joint(q_sa, payoff):
@@ -480,10 +477,11 @@ class ExactDecoderAdversary:
     rule; likelihoods accumulate observed actions (and states when they are
     only revealed causally).  A candidate of prior log weight -inf can never
     regain weight, so only the others are kept (`kept`, in candidate order).
+    The scheme's laws come from the match's `_SchemeTables`.
     """
 
-    def __init__(self, game, scheme, candidates, prior_logw, sees_state_seq):
-        self.game = game
+    def __init__(self, tables, candidates, prior_logw, sees_state_seq):
+        self.tables = tables
         prior_logw = np.asarray(prior_logw, dtype=float)
         self.kept = np.flatnonzero(prior_logw > _NEG_INF)
         self.cands = np.asarray(candidates)[self.kept]  # (kept, n)
@@ -491,9 +489,7 @@ class ExactDecoderAdversary:
         # every candidate's weight, the dropped ones exact zeros (see _posterior)
         self._all_w = np.zeros(prior_logw.size)
         self.sees_state_seq = sees_state_seq
-        with np.errstate(divide="ignore"):
-            self.log_pa = np.log(scheme.p_a_given_u.rows)  # (u, a)
-        self.p_a_rows = scheme.p_a_given_u.rows
+        self.p_a_rows = tables.scheme.p_a_given_u.rows
 
     def _posterior(self):
         m = self.logw.max(initial=_NEG_INF)
@@ -507,30 +503,26 @@ class ExactDecoderAdversary:
         self._all_w[self.kept] = w
         return w / self._all_w.sum()
 
-    def act(self, t, s_t, joint_sa, p_s_given_u):
-        post = self._posterior()
-        if post is None:
-            # all candidates ruled out: fall back to the scheme's marginal play
-            q = joint_sa.copy()
-        else:
-            u_t = self.cands[:, t]
-            if self.sees_state_seq:
-                q = np.zeros_like(joint_sa)
-                q[s_t] = (post[:, None] * self.p_a_rows[u_t]).sum(axis=0)
-            else:
-                q = np.einsum("i,is,ia->sa", post, p_s_given_u[u_t],
-                              self.p_a_rows[u_t])
-        if self.sees_state_seq:
-            mask = np.zeros_like(q)
-            mask[s_t] = q[s_t] if q[s_t].sum() > 0 else joint_sa[s_t]
-            q = mask
-        return _best_response_to_joint(q, self.game.payoff)
-
-    def observe(self, t, s_t, a_t, log_ps_given_u):
+    def act(self, t, s_t):
+        # with all candidates ruled out, B plays against the scheme's marginal
+        post, joint_sa = self._posterior(), self.tables.joint_sa
         u_t = self.cands[:, t]
-        self.logw = self.logw + self.log_pa[u_t, a_t]
+        if self.sees_state_seq:
+            q = np.zeros_like(joint_sa)
+            q[s_t] = (joint_sa[s_t] if post is None
+                      else (post[:, None] * self.p_a_rows[u_t]).sum(axis=0))
+        elif post is None:
+            q = joint_sa
+        else:
+            q = np.einsum("i,is,ia->sa", post, self.tables.p_s_given_u[u_t],
+                          self.p_a_rows[u_t])
+        return _best_response_to_joint(q, self.tables.game.payoff)
+
+    def observe(self, t, s_t, a_t):
+        u_t = self.cands[:, t]
+        self.logw = self.logw + self.tables.log_pa_u[u_t, a_t]
         if not self.sees_state_seq:
-            self.logw = self.logw + log_ps_given_u[u_t, s_t]
+            self.logw = self.logw + self.tables.log_ps_u[u_t, s_t]
 
     def decoded_true(self, true_idx):
         """Whether the true candidate alone has the highest posterior weight."""
@@ -688,121 +680,112 @@ def _trial_rng(master_seed, trial):
     return np.random.default_rng([int(master_seed), int(trial)])
 
 
-def _fallback_actions(tables, rng, n):
-    """A's play after an encoder failure, which leaves it blind to the states:
-    the minimax mix of the prior-averaged game."""
-    mix = tables.averaged_solution.strategy_a.rows[0]
-    return rng.choice(mix.size, size=n, p=mix)
-
-
-def _decoder_play(tables, adv, s_seq, a_seq, true_idx):
+def _decoder_play(adv, s_seq, a_seq, true_idx):
     """B's actions and per-step decode indicators of an exact decoder."""
     n = len(s_seq)
     b_seq = np.empty(n, dtype=np.int64)
     decode = np.zeros(n)
     for t in range(n):
-        b_seq[t] = adv.act(t, s_seq[t], tables.joint_sa, tables.p_s_given_u)
-        adv.observe(t, s_seq[t], a_seq[t], tables.log_ps_u)
+        b_seq[t] = adv.act(t, s_seq[t])
+        adv.observe(t, s_seq[t], a_seq[t])
         decode[t] = adv.decoded_true(true_idx)
     return b_seq, decode
 
 
-def _run_exact_trial(tables, cfg, rate, rng, adversary):
-    """Full materialized-codebook trial."""
-    game, scheme = tables.game, tables.scheme
-    n = cfg.n
-    s_seq = rng.choice(tables.prior.size, size=n, p=tables.prior)
-    codebook = build_codebook(scheme, n, rate, int(rng.integers(1 << 62)),
-                              cap=cfg.codebook_cap, prior=tables.prior)
-    idx, log_w = _typical_codewords(codebook.sequences, s_seq, scheme, cfg.epsilon)
-    try:
-        true_idx = _select_codeword(idx, log_w, cfg.selection,
-                                    int(rng.integers(1 << 62)))
-    except EncoderFailure:
-        true_idx = None
-    failed = true_idx is None
-    if failed:
-        a_seq = _fallback_actions(tables, rng, n)
-    else:
-        a_seq = decode_actions(codebook.sequences[true_idx], scheme,
-                               int(rng.integers(1 << 62)))
-    if adversary == "oblivious":
-        b_seq = ObliviousAdversary(tables.oblivious_mixes(cfg.b_knows_state),
-                                   rng).play_block(s_seq)
-        return game.payoff[a_seq, b_seq, s_seq], np.zeros(n), failed
-    informed = adversary == "decoder_with_state"
-    prior_logw = (_rule_prior(idx, log_w, cfg.selection) if informed
-                  else np.zeros(codebook.count))
-    adv = ExactDecoderAdversary(game, scheme, codebook.sequences, prior_logw,
-                                sees_state_seq=informed)
-    b_seq, decode = _decoder_play(tables, adv, s_seq, a_seq, true_idx)
-    return game.payoff[a_seq, b_seq, s_seq], decode, failed
+def _exact_decoder(tables, candidates, informed, typical, selection):
+    """The exact decoder over `candidates`.  An informed one starts from the
+    selection rule's prior over `typical`, the (indices, log weights) of
+    `_typical_codewords`; an uninformed one from a flat prior."""
+    prior_logw = (_rule_prior(*typical, selection) if informed
+                  else np.zeros(len(candidates)))
+    return ExactDecoderAdversary(tables, candidates, prior_logw,
+                                 sees_state_seq=informed)
 
 
-def _run_virtual_trial(tables, cfg, rate, rng, adversary):
-    """One trial against a codebook too large to materialize.
+def _box_source(tables, cfg, log_n_codewords, rng, s_seq, informed):
+    """Codewords of a codebook too large to materialize: (members, u_sent).
 
-    The typical-set size is a Poisson draw; the sent codeword is sampled from
-    its box law.  B then plays the oblivious mix; or, informed against the
-    deterministic "first" rule, the best response to the reproduced
-    codeword; or, informed against a typical set of at most
-    BOX_MATERIALIZE_CAP members, the exact decoder over sampled members; or
-    else the saddlepoint blend of `_AnalyticTrial`, whose trial is returned
-    in place of its payoffs until `_settle` solves its tails.
+    The typical-set size is a Poisson draw.  Against an informed adversary,
+    a randomized rule and at most BOX_MATERIALIZE_CAP members, the members
+    are drawn (plain p_U codebook draws given the box) for the encoder to
+    select from.  Otherwise members is None and u_sent is one codeword drawn
+    from the selection rule's law given the box, or None if nothing is
+    typical.
     """
-    game, scheme = tables.game, tables.scheme
-    n, selection = cfg.n, cfg.selection
+    state_counts = np.bincount(s_seq, minlength=tables.prior.size)
+    log_ptyp = tables.log_typical(state_counts, cfg.epsilon)
+    lam = (np.exp(min(log_n_codewords + log_ptyp, 700)) if np.isfinite(log_ptyp)
+           else 0.0)
+    m = int(rng.poisson(min(lam, 1e9)))
+    enumerate_members = (informed and cfg.selection != "first"
+                         and m <= BOX_MATERIALIZE_CAP)
+    tilted = cfg.selection == "tilted" and not enumerate_members
+    boxes = tables.sampling_boxes(state_counts, cfg.epsilon, tilted) if m else None
+    if boxes is not None and enumerate_members:
+        return np.stack([_sample_box_codeword(rng, s_seq, boxes)
+                         for _ in range(m)]), None
+    return None, _sample_box_codeword(rng, s_seq, boxes)
+
+
+def _run_trial(tables, cfg, rate, rng, adversary):
+    """One block of the coded game: states, a codeword, A's play, B's play.
+
+    The codeword source is the one fork: a materialized codebook when it
+    fits `cfg.codebook_cap`, else `_box_source`.  Candidates from either
+    source (the codebook, or enumerated typical-set members) go through the
+    same typicality test and selection rule.  B's play is the first that
+    applies of: the oblivious mix; against the deterministic "first" rule,
+    informed, the best response to the reproduced codeword; the exact
+    decoder over the candidates; after an encoder failure with no
+    candidates, the best response to the scheme marginal; else the
+    saddlepoint blend of `_AnalyticTrial`, whose trial is returned in place
+    of its payoffs until `_settle` solves its tails.
+    """
+    scheme, n, selection = tables.scheme, cfg.n, cfg.selection
     informed = adversary == "decoder_with_state"
     s_seq = rng.choice(tables.prior.size, size=n, p=tables.prior)
-    state_counts = np.bincount(s_seq, minlength=tables.prior.size)
-    log_n_codewords = int(np.ceil(n * rate - 1e-12)) * _LOG2
-    log_ptyp = tables.log_typical(state_counts, cfg.epsilon)
-    lam = np.exp(min(log_n_codewords + log_ptyp, 700)) if np.isfinite(log_ptyp) else 0.0
-    m = int(rng.poisson(min(lam, 1e9)))
-    # members are plain codebook draws (p_U); a sent codeword drawn directly
-    # follows the selection rule's law given the box
-    enumerate_members = (informed and selection != "first"
-                         and m <= BOX_MATERIALIZE_CAP)
-    tilted = selection == "tilted" and not enumerate_members
-    boxes = tables.sampling_boxes(state_counts, cfg.epsilon, tilted) if m else None
-    members = None
-    if boxes is not None and enumerate_members:
-        # every member is typical: the encoder and the adversary's prior
-        # treat them exactly as the materialized trial treats its codebook
-        members = np.stack([_sample_box_codeword(rng, s_seq, boxes)
-                            for _ in range(m)])
-        idx, log_w = _typical_codewords(members, s_seq, scheme, cfg.epsilon)
-        true_idx = _select_codeword(idx, log_w, selection, int(rng.integers(1 << 62)))
-        u_true = members[true_idx]
+    u_sent = None
+    if codeword_count(n, rate) * n <= cfg.codebook_cap:
+        candidates = build_codebook(scheme, n, rate, int(rng.integers(1 << 62)),
+                                    cap=cfg.codebook_cap, prior=tables.prior).sequences
     else:
-        u_true = _sample_box_codeword(rng, s_seq, boxes)
-    failed = u_true is None
-    decode = np.zeros(n)
+        log_n_codewords = int(np.ceil(n * rate - 1e-12)) * _LOG2
+        candidates, u_sent = _box_source(tables, cfg, log_n_codewords, rng, s_seq,
+                                         informed)
+    true_idx = None
+    if candidates is not None:
+        typical = _typical_codewords(candidates, s_seq, scheme, cfg.epsilon)
+        try:
+            true_idx = _select_codeword(*typical, selection, int(rng.integers(1 << 62)))
+            u_sent = candidates[true_idx]
+        except EncoderFailure:
+            pass
+    failed = u_sent is None
     if failed:
-        a_seq = _fallback_actions(tables, rng, n)
+        # A is left blind to the states: the prior-averaged game's minimax mix
+        mix = tables.averaged_solution.strategy_a.rows[0]
+        a_seq = rng.choice(mix.size, size=n, p=mix)
     else:
-        a_seq = decode_actions(u_true, scheme, rng.integers(1 << 62))
+        a_seq = decode_actions(u_sent, scheme, int(rng.integers(1 << 62)))
+    decode = np.zeros(n)
     if adversary == "oblivious":
-        b_seq = ObliviousAdversary(tables.oblivious_mixes(cfg.b_knows_state),
-                                   rng).play_block(s_seq)
-    elif failed:
-        b_seq = tables.marginal_br[int(informed), s_seq]
-    elif informed and selection == "first":
+        b_seq = _oblivious_play(tables.oblivious_mixes(cfg.b_knows_state), rng, s_seq)
+    elif informed and selection == "first" and not failed:
         # the deterministic encoder always sends the lowest-index typical
         # codeword, so a protocol-aware state-informed adversary reproduces
         # the choice and knows the codeword before play starts
-        b_seq = tables.decoded_br[1, s_seq, u_true]
+        b_seq = tables.decoded_br[1, s_seq, u_sent]
         decode[:] = 1.0
-    elif members is not None:
-        adv = ExactDecoderAdversary(game, scheme, members,
-                                    _rule_prior(idx, log_w, selection),
-                                    sees_state_seq=True)
-        b_seq, decode = _decoder_play(tables, adv, s_seq, a_seq, true_idx)
+    elif candidates is not None:
+        adv = _exact_decoder(tables, candidates, informed, typical, selection)
+        b_seq, decode = _decoder_play(adv, s_seq, a_seq, true_idx)
+    elif failed:
+        b_seq = tables.marginal_br[int(informed), s_seq]
     else:
         # the payoffs wait for a saddlepoint solve shared with other trials
-        return _AnalyticTrial(tables, s_seq, a_seq, u_true, informed,
+        return _AnalyticTrial(tables, s_seq, a_seq, u_sent, informed,
                               log_n_codewords), None, failed
-    return game.payoff[a_seq, b_seq, s_seq], decode, failed
+    return tables.game.payoff[a_seq, b_seq, s_seq], decode, failed
 
 
 class _AnalyticTrial:
@@ -896,26 +879,20 @@ def adversary_play(model: str, past_states, past_actions, codebook: Codebook,
     if model == "oblivious":
         sees_state = state_seq is not None
         s_t = int(state_seq[iteration]) if sees_state else 0
-        obl = ObliviousAdversary(tables.oblivious_mixes(sees_state),
-                                 np.random.default_rng(seed))
-        return int(obl.play_block([s_t])[0])
+        return int(_oblivious_play(tables.oblivious_mixes(sees_state),
+                                   np.random.default_rng(seed), [s_t])[0])
     informed = model == "decoder_with_state"
     if informed and state_seq is None:
         raise ContractViolationError("decoder_with_state needs the full state sequence")
-    if informed:
-        idx, log_w = _typical_codewords(codebook.sequences, np.asarray(state_seq),
-                                        scheme, epsilon)
-        prior_logw = _rule_prior(idx, log_w, selection)
-    else:
-        prior_logw = np.zeros(codebook.count)
-    adv = ExactDecoderAdversary(game, scheme, codebook.sequences, prior_logw,
-                                sees_state_seq=informed)
+    typical = (_typical_codewords(codebook.sequences, np.asarray(state_seq), scheme,
+                                  epsilon) if informed else None)
+    adv = _exact_decoder(tables, codebook.sequences, informed, typical, selection)
     past_states = np.asarray(past_states, dtype=int)
     past_actions = np.asarray(past_actions, dtype=int)
     for t in range(iteration):
-        adv.observe(t, past_states[t], past_actions[t], tables.log_ps_u)
+        adv.observe(t, past_states[t], past_actions[t])
     s_t = int(state_seq[iteration]) if state_seq is not None else 0
-    return adv.act(iteration, s_t, tables.joint_sa, tables.p_s_given_u)
+    return adv.act(iteration, s_t)
 
 
 def run_match(game: Game, scheme: Scheme, rate: float, config: MatchConfig
@@ -929,8 +906,6 @@ def run_match(game: Game, scheme: Scheme, rate: float, config: MatchConfig
     adversary = config.adversary
     if adversary == "decoder" and config.b_knows_state:
         adversary = "decoder_with_state"
-    exact = codeword_count(n, rate) * n <= config.codebook_cap
-    run_trial = _run_exact_trial if exact else _run_virtual_trial
     pay_sum = np.zeros(n)
     dec_sum = np.zeros(n)
     failures = 0
@@ -938,8 +913,8 @@ def run_match(game: Game, scheme: Scheme, rate: float, config: MatchConfig
     # each trial draws from its own stream and sums add in trial order
     group = max(1, TAIL_BATCH_ROWS // n)
     for first in range(0, trials, group):
-        outcomes = [run_trial(tables, config, rate, _trial_rng(config.seed, trial),
-                              adversary)
+        outcomes = [_run_trial(tables, config, rate, _trial_rng(config.seed, trial),
+                               adversary)
                     for trial in range(first, min(first + group, trials))]
         for pay, dec, failed in _settle(outcomes):
             pay_sum += pay

@@ -24,7 +24,7 @@ from statehelper.simulator import (
     _analytic_payoffs,
     _AnalyticTrial,
     _CompetitorTail,
-    _run_virtual_trial,
+    _run_trial,
     _SchemeTables,
     _trial_rng,
 )
@@ -339,9 +339,9 @@ def _trial_by_trial_match(game, scheme, rate, config):
     own tails through `_analytic_payoffs`, in trial order."""
     pay_sum, dec_sum, failures = np.zeros(config.n), np.zeros(config.n), 0
     for trial in range(config.trials):
-        pay, dec, failed = _run_virtual_trial(_SchemeTables(game, scheme), config,
-                                              rate, _trial_rng(config.seed, trial),
-                                              config.adversary)
+        pay, dec, failed = _run_trial(_SchemeTables(game, scheme), config, rate,
+                                      _trial_rng(config.seed, trial),
+                                      config.adversary)
         if isinstance(pay, _AnalyticTrial):
             pay, dec = _analytic_payoffs(pay.tables, pay.s_seq, pay.a_seq,
                                          pay.u_true, pay.informed,

@@ -117,6 +117,15 @@ def test_build_codebook_rejects_a_bad_prior(prior):
                        prior=np.array(prior))
 
 
+@pytest.mark.parametrize("prior", [[-0.5, 1.5], [np.nan, 1.0]], ids=["negative", "nan"])
+def test_build_codebook_checks_the_prior_itself(prior):
+    """A constant-U scheme has p_U = (0, 1, 0) under any prior, so only a
+    check of the prior itself rejects these."""
+    with pytest.raises(ContractViolationError):
+        build_codebook(Scheme.constant_u(np.array([0.0, 1.0, 0.0]), 2), n=8,
+                       rate=0.5, seed=0, prior=np.array(prior))
+
+
 # Per-iteration payoffs and decode rates of two materialized matches (erasure
 # game, optimal scheme, n = 12, rate 0.8, 20 trials, seed 4), recorded before
 # the codebook draw was rewritten from Generator.choice to its inverse cdf.
@@ -307,6 +316,41 @@ def test_adversary_play_wrapper(erasure_game, optimal_scheme):
                        optimal_scheme, erasure_game, 3, state_seq=s_seq)
 
 
+@pytest.mark.parametrize("model, selection", [("decoder", "tilted"),
+                                              ("decoder_with_state", "tilted"),
+                                              ("decoder_with_state", "uniform")])
+@pytest.mark.parametrize("erasure", [True, False])
+def test_adversary_play_is_the_trials_decoder(model, selection, erasure):
+    """At every iteration `adversary_play` returns the action that the
+    trial's exact decoder plays on the same codebook and history."""
+    informed = model == "decoder_with_state"
+    epsilon = 0.1
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        if erasure:
+            game, scheme = make_erasure_game(), make_optimal_erasure_scheme()
+        else:
+            game = random_game(rng, n_states=2, n_actions_a=3, n_actions_b=3)
+            scheme = random_scheme(rng, n_states=2, card_u=3, n_actions=3)
+        tables = _SchemeTables(game, scheme)
+        s_seq = rng.choice(2, size=12, p=game.prior)
+        book = build_codebook(scheme, n=12, rate=0.8, seed=seed, prior=game.prior)
+        idx, log_w = _typical_codewords(book.sequences, s_seq, scheme, epsilon)
+        try:
+            true_idx = _select_codeword(idx, log_w, selection, seed)
+            a_seq = decode_actions(book.sequences[true_idx], scheme, seed)
+        except EncoderFailure:
+            true_idx, a_seq = None, rng.choice(3, size=12)
+        prior = _rule_prior(idx, log_w, selection) if informed else np.zeros(book.count)
+        adv = ExactDecoderAdversary(tables, book.sequences, prior, informed)
+        b_seq, _ = _decoder_play(adv, s_seq, a_seq, true_idx)
+        for t in range(12):
+            b = adversary_play(model, s_seq[:t], a_seq[:t], book, scheme, game, t,
+                               state_seq=s_seq if informed else None,
+                               epsilon=epsilon, selection=selection)
+            assert b == b_seq[t], (seed, t)
+
+
 def test_deterministic_baseline_collapses(erasure_game):
     result = deterministic_baseline(erasure_game, rate=0.5, n=48, trials=50,
                                     seed=0)
@@ -399,8 +443,8 @@ class KeepEveryCandidate(ExactDecoderAdversary):
     """Reference decoder: the posterior over every candidate of the codebook,
     -inf prior weights included."""
 
-    def __init__(self, game, scheme, candidates, prior_logw, sees_state_seq):
-        super().__init__(game, scheme, candidates, np.zeros(len(prior_logw)),
+    def __init__(self, tables, candidates, prior_logw, sees_state_seq):
+        super().__init__(tables, candidates, np.zeros(len(prior_logw)),
                          sees_state_seq)
         self.logw = np.array(prior_logw, dtype=float)
 
@@ -445,13 +489,17 @@ def test_property_pruned_decoder_plays_as_the_full_posterior(seed, n, rate,
     except EncoderFailure:
         true_idx, a_seq = None, rng.choice(3, size=n)
     prior = _rule_prior(idx, log_w, selection)
-    pruned = ExactDecoderAdversary(game, scheme, book.sequences, prior, True)
-    full = KeepEveryCandidate(game, scheme, book.sequences, prior, True)
+    pruned = ExactDecoderAdversary(tables, book.sequences, prior, True)
+    full = KeepEveryCandidate(tables, book.sequences, prior, True)
     assert np.array_equal(pruned.kept, np.flatnonzero(np.isfinite(prior)))
-    got = _decoder_play(tables, pruned, s_seq, a_seq, true_idx)
-    want = _decoder_play(tables, full, s_seq, a_seq, true_idx)
+    got = _decoder_play(pruned, s_seq, a_seq, true_idx)
+    want = _decoder_play(full, s_seq, a_seq, true_idx)
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
+    if selection == "first" and true_idx is not None:
+        # the trial's lookup for an informed decoder facing "first"
+        assert np.array_equal(got[0], tables.decoded_br[1, s_seq, book.sequences[true_idx]])
+        assert np.all(got[1] == 1.0)
 
 
 def test_pruned_decoder_breaks_exact_ties_as_the_full_posterior(monkeypatch,
@@ -464,13 +512,11 @@ def test_pruned_decoder_breaks_exact_ties_as_the_full_posterior(monkeypatch,
     tables = _SchemeTables(erasure_game, optimal_scheme)
     config = MatchConfig(n=16, trials=300, adversary="decoder_with_state",
                          epsilon=0.1, seed=2)
-    got = simulator._run_exact_trial(tables, config, 0.8,
-                                     simulator._trial_rng(2, 271),
-                                     "decoder_with_state")
+    got = simulator._run_trial(tables, config, 0.8, simulator._trial_rng(2, 271),
+                               "decoder_with_state")
     monkeypatch.setattr(simulator, "ExactDecoderAdversary", KeepEveryCandidate)
-    want = simulator._run_exact_trial(tables, config, 0.8,
-                                      simulator._trial_rng(2, 271),
-                                      "decoder_with_state")
+    want = simulator._run_trial(tables, config, 0.8, simulator._trial_rng(2, 271),
+                                "decoder_with_state")
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
     assert want[0][2] == 0.0  # the tie went to B's first action
 
@@ -481,11 +527,10 @@ def test_decoder_without_candidates_plays_the_marginal(erasure_game, optimal_sch
     tables = _SchemeTables(erasure_game, optimal_scheme)
     book = build_codebook(optimal_scheme, n=12, rate=0.8, seed=4)
     prior = np.full(book.count, -np.inf)
-    adv = ExactDecoderAdversary(erasure_game, optimal_scheme, book.sequences,
-                                prior, sees_state_seq=True)
+    adv = ExactDecoderAdversary(tables, book.sequences, prior, sees_state_seq=True)
     assert adv.kept.size == 0 and adv.cands.shape == (0, 12)
     s_seq = np.random.default_rng(6).integers(0, 2, size=12)
-    b_seq, decode = _decoder_play(tables, adv, s_seq, np.ones(12, dtype=int), 3)
+    b_seq, decode = _decoder_play(adv, s_seq, np.ones(12, dtype=int), 3)
     marginal = [_best_response_to_joint(np.where(np.arange(2)[:, None] == s,
                                                  tables.joint_sa, 0.0),
                                         erasure_game.payoff) for s in s_seq]
@@ -496,6 +541,7 @@ def test_decoder_without_candidates_plays_the_marginal(erasure_game, optimal_sch
 
 def test_uninformed_decoder_keeps_every_candidate(erasure_game, optimal_scheme):
     book = build_codebook(optimal_scheme, n=12, rate=0.8, seed=4)
-    adv = ExactDecoderAdversary(erasure_game, optimal_scheme, book.sequences,
-                                np.zeros(book.count), sees_state_seq=False)
+    adv = ExactDecoderAdversary(_SchemeTables(erasure_game, optimal_scheme),
+                                book.sequences, np.zeros(book.count),
+                                sees_state_seq=False)
     assert np.array_equal(adv.cands, book.sequences)
