@@ -15,8 +15,9 @@ Prints one JSON line per joint on which this checkout's value is more than
 1e-4 above the baseline's, then a summary line.  A penalized baseline may
 report a value that no decomposition reproducing the target reaches, so
 each such joint also shows the baseline's mass on cells where the target is
-zero and its decomposition refitted with 20 000 exact
-expectation-maximization steps of this checkout (`info_measures._fit`).
+zero and its decomposition refitted with up to 20 000 exact
+expectation-maximization steps of this checkout (`info_measures._fit`, which
+stops once nothing moves).
 The joint counts as a miss when that refit reproduces the target within
 FEASIBILITY_TOL and its value is still more than 1e-4 below this
 checkout's (this checkout lost a valid, tighter bound), or when the refit
@@ -85,8 +86,7 @@ def refit(mass, record):
     from statehelper import info_measures
     pu, qs, qa = (np.array(record[k]) for k in ("p_u", "p_s_given_u", "p_a_given_u"))
     zero_mass = float(np.einsum("u,us,ua->sa", pu, qs, qa)[mass == 0].sum())
-    fitted = info_measures._fit(mass, pu[None], qs[None], qa[None], REFIT_STEPS)
-    value, tv = info_measures._decomposition_values(mass, *fitted)
+    _, value, tv, _ = info_measures._fit(mass, pu[None], qs[None], qa[None], REFIT_STEPS)
     return float(value[0]), float(tv[0]), zero_mass
 
 

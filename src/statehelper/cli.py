@@ -335,8 +335,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--card-u", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=CommonInfoSearch().restarts,
-                   help="search starts, the structured U=S, U=A, U=(S,A) and "
-                        "constant-U ones included; the reported value is "
+                   help="search starts (at least 1), the structured U=S, "
+                        "U=A, U=(S,A) and constant-U ones included; a count "
+                        "that leaves no random start answers from the "
+                        "structured ones alone.  Each penalty weight and "
+                        "each fit of the search ends once it has converged.  "
+                        "The reported value is "
                         "I(S,A;U) of a decomposition that reproduces the "
                         "joint within total variation 1e-10.  The default "
                         "suffices for the reference erasure joint; other "

@@ -65,13 +65,8 @@ class JointDistribution:
 
     def __post_init__(self):
         mass = np.asarray(self.mass, dtype=float)
-        if np.any(mass < -MASS_TOL):
-            raise ContractViolationError("joint mass has negative entries")
-        mass = np.clip(mass, 0.0, None)
-        total = mass.sum()
-        if abs(total - 1.0) > MASS_TOL * max(1, mass.size):
-            raise ContractViolationError(f"joint mass sums to {total}, expected 1")
-        mass = mass / total
+        mass = validate_prob_vector(mass.ravel(), tol=MASS_TOL,
+                                    what="joint mass").reshape(mass.shape)
         mass.setflags(write=False)
         object.__setattr__(self, "mass", mass)
 
@@ -128,16 +123,27 @@ def conditional_mutual_information(joint: JointDistribution, group_x, group_y,
 class CommonInfoSearch:
     """Search budget for the common-information minimization.
 
-    restarts counts every start, the structured ones included; iterations is
-    the number of block steps at each penalty weight of the first
-    continuation (the second takes twice as many).  The default restart
-    count is the smallest that finds C(S;A) = H(1/4) of the reference
-    erasure joint for every seed 0-999; harder joints can need more.
+    restarts counts every start, the structured ones included, and must be
+    at least 1; a count that leaves no random start answers from the
+    structured starts alone, without a block step.  iterations caps the
+    block steps at each penalty weight of the first continuation (the
+    second allows twice as many): a weight ends sooner once both terms of
+    every restart's objective have stalled, moving by at most 1e-12
+    relative over one group of three steps.  Each expectation-maximization
+    fit likewise ends once no candidate's value or total variation moves.
+    The default restart count is the smallest that finds C(S;A) = H(1/4) of
+    the reference erasure joint for every seed 0-999; harder joints can
+    need more.
     """
 
     restarts: int = 8
     iterations: int = 21
     seed: int = 0
+
+    def __post_init__(self):
+        if self.restarts < 1:
+            raise ContractViolationError(
+                f"common-information restarts must be >= 1, got {self.restarts}")
 
 
 @dataclass(frozen=True)
@@ -146,8 +152,8 @@ class CommonInfoResult:
 
     restarts_feasible counts the restarts whose decomposition reproduces the
     target within FEASIBILITY_TOL, restarts_near_best those of them whose
-    value is within 1e-9 of the best, and steps the block steps each restart
-    took.
+    value is within 1e-9 of the best, and steps the block steps taken (the
+    restarts step together, so each took that many).
     """
 
     value: float
@@ -181,7 +187,7 @@ def _pad_rows(rows, n_rows):
 # restart k at its own weight, spread geometrically over _GAMMA_START; the
 # second starts from every fitted decomposition at _GAMMA_REFINE, with a
 # share _REOPEN of uniform W mixed in so that entries the fit cut can grow
-# back, and takes twice the block steps at each weight.
+# back, and allows twice the block steps at each weight.
 _GAMMA_START = (4.0, 1e3)
 _GAMMA_MID = 1e3
 _GAMMA_END = 1e13
@@ -195,6 +201,13 @@ _MAX_EXTRAPOLATION = 30.0
 _SUPPORT_TOLS = (1e-9, 1e-6, 1e-4)
 _POLISH_STEPS = 400
 _NEAR_BEST = 1e-9
+# a weight of a continuation ends once both terms of every restart's
+# objective moved by at most _STALL (1 + |term|) over one accelerated group
+_STALL = 1e-12
+# a fit ends once no candidate's value (in bits) or total variation moved by
+# more than _FIT_STALL over _FIT_CHECK steps
+_FIT_CHECK = 10
+_FIT_STALL = 1e-13
 
 
 def _w_starts(target, nu, rng, restarts):
@@ -240,16 +253,18 @@ def _log(x):
     return np.log(np.maximum(x, 1e-300))
 
 
-def _block_step(target, w, beta, floor, objective=False):
-    """One block step from W, and with objective=True the objective at W.
+def _block_step(target, w, beta, floor, log_w=None):
+    """One block step from W, and given log_w = log W also the two terms of
+    the objective at W.
 
     p(u), Q(s|u), Q(a|u) are the marginals of r = target * W, and the new W
     is proportional to p(u) [Q(s|u) Q(a|u)]^beta, with a share floor of
     uniform W mixed in.  With beta = gamma / (1 + gamma) both halves are
     exact minimizations of I(S,A;U) + gamma I(S;A|U) over W.  The objective
-    is that sum divided by 1 + gamma, up to a constant:
-    sum r [log W - log p(u) - beta log Q(s|u) Q(a|u)].  At beta = 1 and
-    floor 0 the step is expectation maximization, which raises
+    is that sum divided by 1 + gamma, up to a constant: i - beta c, where
+    i = sum r [log W - log p(u)] is I(S,A;U) in nats and
+    c = sum r log Q(s|u) Q(a|u).  At beta = 1 and floor 0 the step is
+    expectation maximization, which raises
     sum target log(sum_u p(u)Q(s|u)Q(a|u)) and keeps zero entries zero.
     """
     r = target * w
@@ -259,47 +274,68 @@ def _block_step(target, w, beta, floor, objective=False):
     w_next *= (1.0 - floor) / np.maximum(w_next.sum(axis=1, keepdims=True), 1e-300)
     if floor:
         w_next += floor / w.shape[1]
-    if not objective:
+    if log_w is None:
         return w_next
-    return w_next, (r * (_log(w) - _log(pu)[:, :, None, None] - beta * _log(q))
-                    ).sum(axis=(1, 2, 3))
+    return w_next, np.array([(r * (log_w - _log(pu)[:, :, None, None])).sum(axis=(1, 2, 3)),
+                             (r * _log(q)).sum(axis=(1, 2, 3))])
 
 
 def _accelerated_steps(target, w, beta):
     """Three block steps with one SQUAREM extrapolation in log W
-    (Varadhan and Roland, Scand. J. Statist. 2008).  The extrapolated point
-    is kept only where its objective is no higher than after one plain
-    step, so the objective never rises."""
+    (Varadhan and Roland, Scand. J. Statist. 2008), and the objective's two
+    terms (see _block_step) one step before the returned W.  The
+    extrapolated point is kept only where its objective is no higher than
+    after one plain step, so the objective never rises.  W carries a floor
+    share, so its logs are finite.
+    """
+    lw = np.log(w)
     w1 = _block_step(target, w, beta, _FLOOR)
-    w2, f1 = _block_step(target, w1, beta, _FLOOR, objective=True)
-    lw, lw1 = np.log(w), np.log(w1)
-    d1, d2 = lw1 - lw, np.log(w2) - 2.0 * lw1 + lw
+    lw1 = np.log(w1)
+    w2, t1 = _block_step(target, w1, beta, _FLOOR, lw1)
+    d1 = lw1 - lw
+    d2 = np.log(w2) - lw1 - d1
     alpha = np.sqrt((d1 ** 2).sum(axis=(1, 2, 3))
                     / np.maximum((d2 ** 2).sum(axis=(1, 2, 3)), 1e-300))
-    alpha = np.clip(alpha, 1.0, _MAX_EXTRAPOLATION)[:, None, None, None]
+    alpha = alpha.clip(1.0, _MAX_EXTRAPOLATION)[:, None, None, None]
     z = lw + 2.0 * alpha * d1 + alpha ** 2 * d2
-    w3, f3 = _block_step(target, _softmax(z, axis=1), beta, _FLOOR, objective=True)
-    return np.where((f3 <= f1)[:, None, None, None], w3, w2)
+    z -= z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    total = e.sum(axis=1, keepdims=True)
+    w3, t3 = _block_step(target, e / total, beta, _FLOOR, z - np.log(total))
+    b = beta[:, 0, 0, 0]
+    keep = t3[0] - b * t3[1] <= t1[0] - b * t1[1]
+    return np.where(keep[:, None, None, None], w3, w2), np.where(keep, t3, t1)
 
 
 def _continuation(target, w, gamma0, gamma_start, stages, iterations):
-    """Minimize I(S,A;U) + gamma I(S;A|U) over W while gamma rises.
+    """Minimize I(S,A;U) + gamma I(S;A|U) over W while gamma rises; returns
+    W and the block steps taken.
 
-    Restart k starts at weight max(gamma0[k], gamma_start) and takes
+    Restart k starts at weight max(gamma0[k], gamma_start) and takes up to
     iterations block steps (in groups of three, see _accelerated_steps) at
-    each weight.  A share _FLOOR of uniform W keeps every symbol and entry
-    alive, so none is lost for good before the penalty needs it.
+    each weight.  A weight ends early once, for every restart, each of the
+    objective's two terms moved by at most _STALL (1 + |term|) over one
+    group, the last group of the previous weight included: the terms are
+    functions of W alone.  They are tested apart because at a large weight
+    the objective cannot resolve a change of I(S,A;U).  A
+    share _FLOOR of uniform W keeps every symbol and entry alive, so none is
+    lost for good before the penalty needs it.
     """
     gammas = np.concatenate([
         np.geomspace(gamma_start, _GAMMA_MID, stages[0]),
         np.geomspace(_GAMMA_MID, _GAMMA_END, stages[1] + 1)[1:]])
     groups = max(iterations // 3, 1)
+    steps, last = 0, np.inf
     for gamma in gammas:
         g = np.maximum(gamma0, gamma)
         beta = (g / (1.0 + g))[:, None, None, None]
         for _ in range(groups):
-            w = _accelerated_steps(target, w, beta)
-    return w, gammas.size * groups * 3
+            w, terms = _accelerated_steps(target, w, beta)
+            steps += 3
+            if np.all(np.abs(terms - last) <= _STALL * (1.0 + np.abs(terms))):
+                break
+            last = terms
+    return w, steps
 
 
 def _polish_candidates(target, pu, qs, qa):
@@ -336,11 +372,26 @@ def _polish_candidates(target, pu, qs, qa):
 
 def _fit(target, pu, qs, qa, steps):
     """Expectation-maximization block steps (beta = 1, no floor) from the
-    decomposition p(u)Q(s|u)Q(a|u); returns the fitted factors."""
+    decomposition p(u)Q(s|u)Q(a|u); returns the fitted factors, their
+    I(S,A;U) and total variation, and the steps taken.
+
+    The fit stops early once, over the last _FIT_CHECK steps, no
+    candidate's value or total variation moved by more than _FIT_STALL: the
+    feasible ones have converged, and the others are stuck on a support
+    that cannot reproduce the target.
+    """
     w = _backward_channel(pu, qs, qa)
-    for _ in range(steps):
-        w = _block_step(target, w, 1.0, 0.0)
-    return _markov_factors(target * w)
+    taken, last = 0, None
+    while True:
+        factors = _markov_factors(target * w)
+        now = _decomposition_values(target, *factors)
+        if taken == steps or last is not None and np.all(
+                np.abs(np.subtract(now, last)) <= _FIT_STALL):
+            return factors, *now, taken
+        last = now
+        for _ in range(min(_FIT_CHECK, steps - taken)):
+            w = _block_step(target, w, 1.0, 0.0)
+        taken = min(taken + _FIT_CHECK, steps)
 
 
 def _fitted(target, w):
@@ -348,17 +399,16 @@ def _fitted(target, w):
 
     Returns p(u), Q(s|u), Q(a|u), I(S,A;U) and total variation, one entry per
     restart: the feasible candidate of least value, or the candidate of least
-    total variation when none is feasible.
+    total variation when none is feasible; and the fit's steps.
     """
     candidates = [x.reshape(-1, *x.shape[2:])
                   for x in _polish_candidates(target, *_markov_factors(target * w))]
-    pu, qs, qa = _fit(target, *candidates, _POLISH_STEPS)
-    values, tv = _decomposition_values(target, pu, qs, qa)
+    (pu, qs, qa), values, tv, steps = _fit(target, *candidates, _POLISH_STEPS)
     n = w.shape[0]
     # every feasible candidate ranks before every infeasible one
     key = np.where(tv <= FEASIBILITY_TOL, values, values.max() + 1.0 + tv)
     pick = np.argmin(key.reshape(-1, n), axis=0) * n + np.arange(n)
-    return pu[pick], qs[pick], qa[pick], values[pick], tv[pick]
+    return (pu[pick], qs[pick], qa[pick], values[pick], tv[pick]), steps
 
 
 def _decomposition_values(target, pu, qs, qa):
@@ -375,6 +425,22 @@ def _decomposition_values(target, pu, qs, qa):
              + entropies(m.sum(axis=-3), (-2, -1))
              - entropies(m, (-3, -2, -1)))
     return np.maximum(value, 0.0), tv
+
+
+def _random_passes(target, w, iterations):
+    """Both continuations and fits from the random starts W: the first and
+    the second pass's decompositions (see _fitted), and the block steps
+    taken."""
+    n_random, nu = w.shape[:2]
+    w, steps = _continuation(target, w, np.geomspace(*_GAMMA_START, n_random),
+                             _GAMMA_START[0], _SEARCH_STAGES, iterations)
+    first, fit_steps = _fitted(target, w)
+    # the second pass restarts from every fitted decomposition
+    w = (1.0 - _REOPEN) * _backward_channel(*first[:3]) + _REOPEN / nu
+    w, more = _continuation(target, w, np.zeros(n_random), _GAMMA_REFINE,
+                            _REFINE_STAGES, 2 * iterations)
+    second, more_fit = _fitted(target, w)
+    return [first, second], steps + fit_steps + more + more_fit
 
 
 def wyner_common_information(target: JointDistribution, max_card_u: int,
@@ -396,7 +462,11 @@ def wyner_common_information(target: JointDistribution, max_card_u: int,
     _polish_candidates).  A second continuation starts from every fitted
     decomposition, with cut entries reopened, and is fitted the same way:
     the fit's cuts can close a support that a better decomposition needs,
-    and the first continuation can stop short of its minimum.
+    and the first continuation can stop short of its minimum.  Each weight
+    ends once the objective has stalled for every restart, and each fit
+    once nothing moves (see CommonInfoSearch), so result.steps counts the
+    block steps actually taken.  When search.restarts leaves no random
+    start, the answer is the best structured start and no step is taken.
 
     The reported value is I(S,A;U) of a decomposition p(u)Q(s|u)Q(a|u) that
     reproduces the target within total variation FEASIBILITY_TOL, so it is
@@ -417,18 +487,13 @@ def wyner_common_information(target: JointDistribution, max_card_u: int,
     rng = np.random.default_rng(search.seed)
     structured, w = _w_starts(tgt, nu, rng, search.restarts)
     n_random = w.shape[0]
-    w, steps = _continuation(tgt, w, np.geomspace(*_GAMMA_START, n_random),
-                             _GAMMA_START[0], _SEARCH_STAGES, search.iterations)
-    first = _fitted(tgt, w)
-    # the second pass restarts from every fitted decomposition
-    w = (1.0 - _REOPEN) * _backward_channel(*first[:3]) + _REOPEN / nu
-    w, more = _continuation(tgt, w, np.zeros(n_random), _GAMMA_REFINE,
-                            _REFINE_STAGES, 2 * search.iterations)
-    second = _fitted(tgt, w)
     # the structured starts are exact already
     exact = _markov_factors(tgt * structured)
-    pu, qs, qa, values, tv = (np.concatenate(x) for x in zip(
-        exact + _decomposition_values(tgt, *exact), first, second))
+    found, steps = [exact + _decomposition_values(tgt, *exact)], 0
+    if n_random:
+        passes, steps = _random_passes(tgt, w, search.iterations)
+        found += passes
+    pu, qs, qa, values, tv = (np.concatenate(x) for x in zip(*found))
     values = np.where(tv <= FEASIBILITY_TOL, values, np.inf)
     if not np.isfinite(values).any():
         raise InfeasibleDecompositionError(
@@ -449,4 +514,4 @@ def wyner_common_information(target: JointDistribution, max_card_u: int,
         restarts_run=int(per_restart.size),
         restarts_feasible=int(np.isfinite(per_restart).sum()),
         restarts_near_best=int((per_restart <= values[k] + _NEAR_BEST).sum()),
-        steps=steps + more + 2 * _POLISH_STEPS)
+        steps=steps)

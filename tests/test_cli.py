@@ -252,6 +252,30 @@ def test_common_info_game_plus_scheme(erasure_file, scheme_file, capsys):
     assert 0.25 - 1e-9 <= value <= 1.0 + 1e-9
 
 
+def test_common_info_structured_starts_only(erasure_file, scheme_file, capsys):
+    """Three restarts are all structured on the erasure joint at |U| = 3."""
+    assert main(["common-info", erasure_file, "--scheme", scheme_file,
+                 "--card-u", "3", "--restarts", "3"]) == 0
+    # the best of U = S, U = A and constant U is U = S, at H(S) = 1 bit
+    assert abs(_line_value(capsys.readouterr().out, "common_information") - 1.0) < 1e-12
+
+
+def test_common_info_rejects_zero_restarts(erasure_file, scheme_file, capsys):
+    assert main(["common-info", erasure_file, "--scheme", scheme_file,
+                 "--card-u", "3", "--restarts", "0"]) == cli.EXIT_PARSE
+    assert "restarts" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [".nan", ".inf"])
+def test_common_info_rejects_non_finite_joint(tmp_path, capsys, bad):
+    path = tmp_path / "joint.yaml"
+    path.write_text(f"joint:\n  - [{bad}, 0.5]\n  - [0.25, 0.25]\n")
+    assert main(["common-info", str(path), "--card-u", "2"]) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert "non-finite" in captured.err
+    assert "common_information" not in captured.out
+
+
 def test_missing_file_exit_code(capsys):
     assert main(["value", "/nonexistent/game.yaml"]) == 2
 

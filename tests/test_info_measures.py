@@ -13,6 +13,7 @@ from statehelper import (
     binary_entropy,
     conditional_mutual_information,
     entropy,
+    info_measures,
     inverse_binary_entropy,
     mutual_information,
     wyner_common_information,
@@ -68,6 +69,12 @@ def test_conditional_mutual_information_markov_chain():
     # and I(U;A|S) for the same scheme is H(1/4) - 1/2
     value = conditional_mutual_information(joint, (1,), (2,), (0,))
     assert abs(value - (binary_entropy(0.25) - 0.5)) < 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_joint_rejects_non_finite_mass(bad):
+    with pytest.raises(ContractViolationError, match="non-finite"):
+        JointDistribution([[bad, 0.5], [0.25, 0.25]])
 
 
 def test_grouping_must_cover_axes():
@@ -130,6 +137,30 @@ def test_common_information_sandwich_on_erasure_joint():
     recon = np.einsum("u,us,ua->sa", result.p_u, result.p_s_given_u.rows,
                       result.p_a_given_u.rows)
     assert 0.5 * np.abs(recon - sa.mass).sum() <= 1e-10
+
+
+def test_common_information_search_needs_a_restart():
+    with pytest.raises(ContractViolationError, match="restarts"):
+        CommonInfoSearch(restarts=0)
+
+
+def test_common_information_steps_count_the_block_steps_taken(monkeypatch):
+    calls = []
+    block_step = info_measures._block_step
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return block_step(*args, **kwargs)
+
+    monkeypatch.setattr(info_measures, "_block_step", counted)
+    game = make_erasure_game()
+    scheme = make_optimal_erasure_scheme()
+    sa = JointDistribution(scheme.joint(game.prior).marginal((0, 2)))
+    result = wyner_common_information(sa, 3)
+    assert result.steps == len(calls)
+    # the full schedule: 50 weights of 21 steps, 80 of 42 and two fits of 400
+    assert 0 < result.steps < 50 * 21 + 80 * 42 + 2 * 400
+    assert abs(result.value - binary_entropy(0.25)) <= 1e-9
 
 
 def test_common_information_rejects_bad_shapes():
@@ -222,6 +253,28 @@ def test_property_diagonal_joint_common_information_is_entropy(weights, extra, s
                                       CommonInfoSearch(restarts=8, seed=seed))
     assert abs(result.value - entropy(p)) <= 1e-9
     assert _reconstruction_error(result, mass) <= 1e-10
+
+
+@SETTINGS
+@given(st.integers(0, 2**16), st.integers(2, 3), st.integers(2, 3),
+       st.integers(0, 2), st.integers(1, 4))
+def test_property_common_information_with_few_restarts(seed, ns, na, extra, restarts):
+    """Restarts that leave no random start answer from the structured ones."""
+    mass = random_joint(np.random.default_rng(seed), (ns, na))
+    nu = min(ns, na) + extra
+    joint = JointDistribution(mass)
+    result = wyner_common_information(joint, nu,
+                                      CommonInfoSearch(restarts=restarts, seed=seed))
+    # U = S, U = A, U = (S, A) where |U| allows, and constant U
+    n_structured = (nu >= ns) + (nu >= na) + (nu >= ns * na) + 1
+    assert result.restarts_run == max(restarts, n_structured)
+    assert (result.steps == 0) == (restarts <= n_structured)
+    i_sa = mutual_information(joint, (0,), (1,))
+    h_s, h_a = entropy(mass.sum(axis=1)), entropy(mass.sum(axis=0))
+    assert i_sa - 1e-12 <= result.value <= min(h_s, h_a) + 1e-12
+    assert _reconstruction_error(result, mass) <= 1e-10
+    assert 1 <= result.restarts_near_best <= result.restarts_feasible \
+        <= result.restarts_run
 
 
 def test_single_symbol_cannot_carry_correlation():
