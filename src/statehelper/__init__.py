@@ -6,6 +6,10 @@ the achievable rate-value bound with its optimizer and layered variant, and a
 Monte Carlo block-coding simulator with a decoding adversary.
 """
 
+# numpy imports numpy.random on first use; the commands draw from it, so it
+# is loaded with the package rather than inside the first command
+import numpy.random  # noqa: F401
+
 from .errors import (
     CapacityError,
     ContractViolationError,

@@ -6,19 +6,18 @@ Player A (the maximizer); Player B receives the negative.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import coo_array
 
 from .errors import ContractViolationError
 
 PROB_TOL = 1e-12
-LP_TOL = 1e-9
-# HiGHS stops at 1e-7 by default, which leaves gaps above LP_TOL on some games
-HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10,
-                 "dual_feasibility_tolerance": 1e-10}
+# the simplex's sign tests allow this relative rounding error per operation
+_ROUNDING = np.finfo(float).eps
+_SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitting constant
+_EXACT_STEPS = 2  # refinement steps on exact residuals for the final basis
 
 DEFAULT_NEG_INF = -1e6
 
@@ -168,38 +167,183 @@ def _normalized_rows(rows):
     return rows / rows.sum(axis=1, keepdims=True)
 
 
+def _split(a):
+    """a = hi + lo exactly, each half with at most 26 significant bits."""
+    t = _SPLIT * a
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _exact_residual(matrix, z, rhs):
+    """rhs - matrix @ z, correctly rounded.  Each product is split into two
+    doubles without error (Dekker 1971) and each row is summed exactly."""
+    products = matrix * z
+    m_hi, m_lo = _split(matrix)
+    z_hi, z_lo = _split(z)
+    errors = ((m_hi * z_hi - products) + m_hi * z_lo + m_lo * z_hi) + m_lo * z_lo
+    terms = np.concatenate([rhs[:, None], -products, -errors], axis=1)
+    return np.array([math.fsum(row) for row in terms.tolist()])
+
+
+class _Basis:
+    """One simplex basis of A z = b, solved afresh from the data.
+
+    A's last columns from `n` on are the slacks, one unit column per
+    inequality row.  A basic slack is eliminated: its row gets price 0 (or its
+    cost) exactly, and its value is the row's residual.  The rest is one small
+    square system over the rows whose slack is nonbasic, solved through its
+    inverse with one step of iterative refinement, or, for the final answer,
+    with refinement on exact residuals, which converges to the correctly
+    rounded solution.  Every result comes with a bound on the rounding error
+    of each entry: a first-order bound, and no less than one unit roundoff of
+    the largest entry of the data it was solved from.
+    """
+
+    def __init__(self, A, abs_a, n, basis):
+        self.A, self.abs_a, self.basis = A, abs_a, basis
+        self.slack = basis >= n
+        self.slack_rows = basis[self.slack] - n
+        self.tight = np.ones(A.shape[0], dtype=bool)
+        self.tight[self.slack_rows] = False
+        structural = basis[~self.slack]
+        self.kernel = A[self.tight][:, structural]
+        self.inverse = np.linalg.inv(self.kernel)
+        self.coupling = A[self.slack_rows][:, structural]
+        self.abs_kernel, self.abs_inverse = np.abs(self.kernel), np.abs(self.inverse)
+        self.abs_coupling = np.abs(self.coupling)
+
+    def _solve(self, rhs, transposed=False, exact=False):
+        kernel, inverse = self.kernel, self.inverse
+        abs_kernel, abs_inverse = self.abs_kernel, self.abs_inverse
+        if transposed:
+            kernel, inverse = kernel.T, inverse.T
+            abs_kernel, abs_inverse = abs_kernel.T, abs_inverse.T
+        z = inverse @ rhs
+        for _ in range(_EXACT_STEPS if exact else 1):
+            z += inverse @ (_exact_residual(kernel, z, rhs) if exact else rhs - kernel @ z)
+        return z, _ROUNDING * (abs_inverse @ (abs_kernel @ np.abs(z) + np.abs(rhs)))
+
+    def column(self, rhs, exact=False):
+        """B^-1 rhs, one entry per basis position, and its error bounds."""
+        z, err = self._solve(rhs[self.tight], exact=exact)
+        out, bound = np.empty(self.basis.size), np.empty(self.basis.size)
+        out[~self.slack], bound[~self.slack] = z, err
+        rest = rhs[self.slack_rows]
+        out[self.slack] = rest - self.coupling @ z
+        bound[self.slack] = (_ROUNDING * (np.abs(rest) + self.abs_coupling @ np.abs(z))
+                             + self.abs_coupling @ err)
+        return out, bound + _ROUNDING * np.abs(rhs).max()
+
+    def row(self, cost, exact=False):
+        """cost B^-1 A for a cost per basis position, its error bounds, and
+        the prices cost B^-1."""
+        prices, err = np.zeros(self.A.shape[0]), np.zeros(self.A.shape[0])
+        prices[self.slack_rows] = cost[self.slack]
+        prices[self.tight], err[self.tight] = self._solve(
+            cost[~self.slack] - self.coupling.T @ cost[self.slack], transposed=True,
+            exact=exact)
+        bound = (_ROUNDING * np.abs(prices) + err) @ self.abs_a + _ROUNDING * np.abs(cost).max()
+        return prices @ self.A, bound, prices
+
+
+def linprog(c, A_ub, b_ub, A_eq, b_eq, basis, n_free):
+    """Maximize c @ z subject to A_ub @ z <= b_ub, A_eq @ z = b_eq and
+    z[n_free:] >= 0, by a dense revised simplex with Bland's rule (Bland 1977).
+
+    Column n + i is the slack of inequality row i.  `basis` names one column
+    per row, must be primal feasible and must hold every free column; free
+    columns never leave it.  Returns z (without slacks) and the prices of
+    all rows, inequality rows first.
+
+    Each pivot solves its basis from the data.  A sign test counts a number as
+    nonzero only beyond a first-order bound on its rounding error, so
+    degenerate ties stay ties.  Once no reduced cost exceeds its bound, the
+    basic variables are solved again on exact residuals; a basis with a basic
+    variable below minus its bound is repaired by dual simplex steps, and the
+    first one without is returned, with its prices solved the same way.
+    """
+    m_ub, n = A_ub.shape
+    A = np.block([[A_ub, np.eye(m_ub)], [A_eq, np.zeros((len(b_eq), m_ub))]])
+    abs_a, width = np.abs(A), A.shape[1]
+    b = np.concatenate([b_ub, b_eq])
+    c = np.concatenate([c, np.zeros(m_ub)])
+    basis = np.array(basis)
+    for _ in range(20 * width):
+        B = _Basis(A, abs_a, n, basis)
+        xb, x_tol = B.column(b)
+        priced, d_tol, _ = B.row(c[basis])
+        d = c - priced
+        d_tol = d_tol + _ROUNDING * np.abs(c)
+        candidate = np.arange(width) >= n_free
+        candidate[basis] = False
+        bounded = basis >= n_free
+        enter = np.flatnonzero(candidate & (d > d_tol))
+        if enter.size:
+            # the first improving column enters; the lowest basic column among
+            # the tied ratios leaves, a basic variable within its bound of 0
+            # counting as 0
+            j = enter[0]
+            w, w_tol = B.column(A[:, j])
+            rows = np.flatnonzero(bounded & (w > w_tol))
+            if not rows.size:
+                raise RuntimeError("LP is unbounded")
+            ratio = np.where(xb[rows] > x_tol[rows], xb[rows], 0.0) / w[rows]
+            ties = rows[ratio == ratio.min()]
+            basis[ties[np.argmin(basis[ties])]] = j
+            continue
+        xb, x_tol = B.column(b, exact=True)
+        short = np.flatnonzero(bounded & (xb < -x_tol))
+        if not short.size:
+            z = np.zeros(width)
+            z[basis] = xb
+            return z[:n], B.row(c[basis], exact=True)[2]
+        # dual simplex step: the lowest short basic column leaves, and the
+        # entering column keeps every reduced cost nonpositive
+        r = short[np.argmin(basis[short])]
+        alpha, alpha_tol, _ = B.row(np.eye(basis.size)[r])
+        enter = np.flatnonzero(candidate & (alpha < -alpha_tol))
+        if not enter.size:
+            raise RuntimeError("LP is infeasible")
+        basis[r] = enter[np.argmin(np.minimum(d[enter], 0.0) / alpha[enter])]
+    raise RuntimeError(f"LP did not converge in {20 * width} pivots")
+
+
 def _solve_behavioral_lp(prior, payoff, map_a, signals_a, map_b, signals_b):
     """Value and behavior strategies of a Bayesian game with deterministic signals.
 
-    Player A sees map_a[s], Player B sees map_b[s].  One LP over A's behavior
-    strategy x(a|g) and a value v_h per B signal: maximize sum_h v_h subject
+    Player A sees map_a[s], Player B sees map_b[s].  One LP over a value v_h
+    per B signal and A's behavior strategy x(a|g): maximize sum_h v_h subject
     to v_h <= sum_{s: map_b(s)=h} prior(s) sum_a x(a|map_a(s)) payoff(a,b,s)
     for every (h, b) and sum_a x(a|g) = 1 (Koller, Megiddo and von Stengel,
-    STOC 1994).  B's behavior strategy y(b|h) is the dual of the (h, b) rows.
-    The value is what x guarantees; lp_gap is what y concedes minus that.
+    STOC 1994).  B's behavior strategy y(b|h) is the price of the (h, b)
+    rows in the final basis.  The value is what x guarantees; lp_gap is what
+    y concedes minus that.
+
+    The simplex starts from a feasible basis: A plays its first action on
+    every signal, each v_h is basic in its worst (h, b) row and the slacks
+    fill the other rows.  When the optimum is not unique, the strategies are
+    those of the first optimal basis that Bland's rule reaches from there.
     """
     na, nb, _ = payoff.shape
-    nx = signals_a * na
-    a, b, s = np.indices(payoff.shape).reshape(3, -1)
-    h_b = np.arange(signals_b * nb)
-    A_ub = coo_array(
-        (np.concatenate([-prior[s] * payoff.ravel(), np.ones(h_b.size)]),
-         (np.concatenate([map_b[s] * nb + b, h_b]),
-          np.concatenate([map_a[s] * na + a, nx + h_b // nb]))),
-        shape=(h_b.size, nx + signals_b))
-    A_eq = coo_array((np.ones(nx), (np.arange(nx) // na, np.arange(nx))),
-                     shape=(signals_a, nx + signals_b))
-    c = np.concatenate([np.zeros(nx), -np.ones(signals_b)])
-    res = linprog(c, A_ub=A_ub, b_ub=np.zeros(h_b.size), A_eq=A_eq,
-                  b_eq=np.ones(signals_a),
-                  bounds=[(0, None)] * nx + [(None, None)] * signals_b,
-                  method="highs", options=HIGHS_OPTIONS)
-    if not res.success:
-        raise RuntimeError(f"behavioral-strategy LP failed: {res.message}")
-    x = _normalized_rows(res.x[:nx].reshape(signals_a, na))
-    y = _normalized_rows(-res.ineqlin.marginals.reshape(signals_b, nb))
-    # each strategy's payoff in every (signal, pure action) cell of the opponent
+    nx, rows = signals_a * na, signals_b * nb
     weighted = payoff * prior
+    # columns: v_h, then x(a|g); rows: (h, b)
+    a, b, s = np.indices(payoff.shape).reshape(3, -1)
+    A_ub = np.zeros((rows, signals_b + nx))
+    np.add.at(A_ub, (map_b[s] * nb + b, signals_b + map_a[s] * na + a), -weighted.ravel())
+    A_ub[np.arange(rows), np.arange(rows) // nb] = 1.0
+    A_eq = np.zeros((signals_a, signals_b + nx))
+    A_eq[np.arange(nx) // na, signals_b + np.arange(nx)] = 1.0
+    first = np.zeros((signals_b, nb))
+    np.add.at(first, map_b, weighted[0].T)
+    basis = signals_b + nx + np.arange(rows)
+    basis[np.arange(signals_b) * nb + first.argmin(axis=1)] = np.arange(signals_b)
+    basis = np.concatenate([basis, signals_b + na * np.arange(signals_a)])
+    z, prices = linprog(np.repeat([1.0, 0.0], [signals_b, nx]), A_ub, np.zeros(rows),
+                        A_eq, np.ones(signals_a), basis, signals_b)
+    x = _normalized_rows(z[signals_b:].reshape(signals_a, na))
+    y = _normalized_rows(prices[:rows].reshape(signals_b, nb))
+    # each strategy's payoff in every (signal, pure action) cell of the opponent
     cells_x = np.zeros((signals_b, nb))
     np.add.at(cells_x, map_b, np.einsum("sa,abs->sb", x[map_a], weighted))
     cells_y = np.zeros((signals_a, na))
@@ -219,6 +363,8 @@ def solve_matrix_game(matrix) -> GameValueResult:
 
     Rows are the maximizer's pure strategies, columns the minimizer's.  This
     is the one-state game in which neither player has anything to observe.
+    When either player has several optimal mixes, the one returned is that of
+    the first optimal basis the simplex reaches (see `game_value`).
     """
     M = np.atleast_2d(np.asarray(matrix, dtype=float))
     if M.size == 0 or not np.all(np.isfinite(M)):
@@ -263,6 +409,14 @@ def game_value(game: Game, f_a: SignalFunction, f_b: SignalFunction) -> GameValu
     Solved as one behavioral-strategy LP, whose size grows linearly with the
     payoff tensor.  A constant signal means the player does not know S; the
     identity signal means full knowledge.
+
+    When the optimum is not unique, the strategies returned are those of the
+    first optimal basis that the simplex (Bland's rule) reaches from its start,
+    in which A plays its first action on every signal: a vertex of each
+    player's optimal set, fixed by the input but not chosen by any further
+    criterion.  In the erasure game with both players blind, for instance,
+    every mix of B is optimal against A's middle action, and B's returned mix
+    is [0, 1], the column that A's first action makes worst for A.
     """
     _check_signal(game, f_a, "A")
     _check_signal(game, f_b, "B")

@@ -11,14 +11,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-# unused here; bench/spans.py wraps this name in this module
-from scipy.optimize import minimize  # noqa: F401
 
 from .errors import ContractViolationError, InfeasibleDecompositionError
 from .game_core import ConditionalDistribution, validate_prob_vector
 
 MASS_TOL = 1e-12
 FEASIBILITY_TOL = 1e-10  # total variation between a reported decomposition and the target
+
+
+def __getattr__(name):
+    # bench/spans.py wraps `minimize` in this module.  The name is resolved
+    # on first access only, so importing the toolkit never loads scipy.
+    if name == "minimize":
+        from scipy.optimize import minimize
+        return minimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _entropy_bits(p) -> float:

@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-# unused here; bench/spans.py wraps this name in this module
-from scipy.optimize import minimize  # noqa: F401
 
 from .errors import ContractViolationError, InfeasibleRateError
 from .game_core import (
@@ -39,6 +37,15 @@ from .info_measures import (  # noqa: F401
 
 RATE_TOL = 1e-12
 INFO_TOL = 1e-12
+
+
+def __getattr__(name):
+    # bench/spans.py wraps `minimize` in this module.  The name is resolved
+    # on first access only, so importing the toolkit never loads scipy.
+    if name == "minimize":
+        from scipy.optimize import minimize
+        return minimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)

@@ -21,11 +21,11 @@ them outweighs the true codeword.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import gammaln, ndtr
 
 from .errors import CapacityError, ContractViolationError, InfeasibleRateError
 from .game_core import (
@@ -264,10 +264,22 @@ def _box_vectors(n_s, n, p_col, epsilon):
     return vecs[inside.all(axis=1)]
 
 
+def _log_factorials(n):
+    """ln k! for k = 0, ..., n."""
+    return np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
+
+
+def _normal_tail(w):
+    """The standard normal upper tail erfc(w / sqrt 2) / 2 of each entry of
+    a 1-d array."""
+    return 0.5 * np.fromiter(map(math.erfc, (w * math.sqrt(0.5)).tolist()), float, w.size)
+
+
 def _log_multinomial_pmf(vectors, n_s, p):
     with np.errstate(divide="ignore"):
         logp = np.where(p > 0, np.log(np.maximum(p, 1e-300)), 0.0)
-    ll = (gammaln(n_s + 1) - gammaln(vectors + 1).sum(axis=1)
+    log_fact = _log_factorials(n_s)
+    ll = (log_fact[n_s] - log_fact[vectors].sum(axis=1)
           + (vectors * logp[None, :]).sum(axis=1))
     ll[(vectors[:, p <= 0] > 0).any(axis=1)] = _NEG_INF
     return ll
@@ -442,7 +454,7 @@ class _CompetitorTail:
         settle((u_lr < 1e-8) | (w_lr < 1e-8), "tiny_uw",
                np.minimum(log_survival, np.log(0.5)))
         with np.errstate(divide="ignore", invalid="ignore"):
-            tail = ndtr(-w_lr) + np.exp(-0.5 * w_lr * w_lr) / np.sqrt(2 * np.pi) \
+            tail = _normal_tail(w_lr) + np.exp(-0.5 * w_lr * w_lr) / np.sqrt(2 * np.pi) \
                 * (1.0 / u_lr - 1.0 / w_lr)
             settle(regime < 0, "lugannani_rice",
                    np.minimum(np.log(np.clip(tail, 1e-300, 1.0)), log_survival))

@@ -207,6 +207,22 @@ def test_tiny_u_or_w_caps_at_one_half():
     assert got[0] == want == pytest.approx(np.log(0.5))
 
 
+def test_normal_tail_and_log_factorials_match_scipy():
+    """The simulator's math.erfc and math.lgamma replacements for scipy's
+    ndtr and gammaln.  The two erfc's part by up to 6e-14 relative far in the
+    tail (the tail is used through its log, and clipped at 1e-300)."""
+    from scipy.special import gammaln
+
+    w = np.linspace(0.0, 37.0, 2001)  # ndtr(-37) is still above 1e-300
+    np.testing.assert_allclose(simulator._normal_tail(w), ndtr(-w), rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(simulator._normal_tail(w[:300]), ndtr(-w[:300]),
+                               rtol=4e-15, atol=0.0)
+    assert simulator._normal_tail(np.array([np.inf]))[0] == 0.0
+    k = np.arange(4097)
+    np.testing.assert_allclose(simulator._log_factorials(4096), gammaln(k + 1.0),
+                               rtol=1e-15, atol=0.0)
+
+
 # ---------------------------------------------------------------------------
 # random cell tables
 
