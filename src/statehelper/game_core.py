@@ -14,6 +14,7 @@ import numpy as np
 from .errors import ContractViolationError
 
 PROB_TOL = 1e-12
+MARGINAL_TOL = 1e-9  # how far a scheme's state marginal may stray from the prior
 # the simplex's sign tests allow this relative rounding error per operation
 _ROUNDING = np.finfo(float).eps
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitting constant
@@ -56,17 +57,6 @@ class ConditionalDistribution:
     @property
     def to_size(self) -> int:
         return self.rows.shape[1]
-
-    @staticmethod
-    def deterministic(mapping, from_size, to_size):
-        rows = np.zeros((from_size, to_size))
-        for i in range(from_size):
-            rows[i, mapping[i]] = 1.0
-        return ConditionalDistribution(rows)
-
-    @staticmethod
-    def constant(dist, from_size):
-        return ConditionalDistribution(np.tile(np.asarray(dist, dtype=float), (from_size, 1)))
 
 
 @dataclass(frozen=True)
@@ -345,7 +335,7 @@ def _solve_behavioral_lp(prior, payoff, map_a, signals_a, map_b, signals_b):
     y = _normalized_rows(prices[:rows].reshape(signals_b, nb))
     # each strategy's payoff in every (signal, pure action) cell of the opponent
     cells_x = np.zeros((signals_b, nb))
-    np.add.at(cells_x, map_b, np.einsum("sa,abs->sb", x[map_a], weighted))
+    np.add.at(cells_x, map_b, payoff_against_pure(x[map_a], weighted, b_sees_state=True))
     cells_y = np.zeros((signals_a, na))
     np.add.at(cells_y, map_a, np.einsum("sb,abs->sa", y[map_b], weighted))
     value_a = cells_x.min(axis=1).sum()
@@ -425,6 +415,20 @@ def game_value(game: Game, f_a: SignalFunction, f_b: SignalFunction) -> GameValu
                                 np.asarray(f_b.map), f_b.signal_count)
 
 
+def payoff_against_pure(mass, payoff, b_sees_state):
+    """A's payoff mass against each pure action of B, per cell B observes.
+
+    mass[..., s, a] is the (state, A's action) mass in each cell of what B
+    observes besides the state; payoff is indexed [a, b, s].  Returns
+    w[..., s, b] if B sees the state, else w[..., b]: each state is
+    contracted over a first, and the states are summed after.  B's minimum
+    in a cell is w.min(axis=-1), its best response w.argmin(axis=-1), ties
+    going to the lowest index.
+    """
+    w = np.einsum("...sa,abs->...sb", mass, payoff)
+    return w if b_sees_state else w.sum(axis=-2)
+
+
 def min_payoff_given_observation(joint, payoff, a_axis, s_axis, observed_axes):
     """Minimum average payoff when B best-responds within each observation cell.
 
@@ -456,8 +460,7 @@ def min_payoff_given_observation(joint, payoff, a_axis, s_axis, observed_axes):
 
 def best_response_payoff(game: Game, p_u, p_s_given_u: ConditionalDistribution,
                          p_a_given_u: ConditionalDistribution,
-                         b_sees_s: bool, b_sees_u: bool,
-                         marginal_tol: float = 1e-9) -> float:
+                         b_sees_s: bool, b_sees_u: bool) -> float:
     """Minimum average payoff to A when B best-responds given its knowledge.
 
     The triple (p_u, p_s|u, p_a|u) defines a joint over (U, S, A) with
@@ -470,7 +473,7 @@ def best_response_payoff(game: Game, p_u, p_s_given_u: ConditionalDistribution,
     if p_a_given_u.from_size != pu.size or p_a_given_u.to_size != game.n_actions_a:
         raise ContractViolationError("p_a_given_u dimensions do not match")
     marg_s = pu @ p_s_given_u.rows
-    if np.max(np.abs(marg_s - game.prior)) > marginal_tol:
+    if np.max(np.abs(marg_s - game.prior)) > MARGINAL_TOL:
         raise ContractViolationError(
             f"state marginal {marg_s} does not match game prior {game.prior}")
     joint = pu[:, None, None] * p_s_given_u.rows[:, :, None] * p_a_given_u.rows[:, None, :]

@@ -8,6 +8,7 @@ run as one array iteration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,17 @@ def _entropy_bits(p) -> float:
     """
     q = p[p > 0]
     return float(-(q * np.log2(q)).sum())
+
+
+def _entropy_rows(p, n_axes):
+    """-sum q log2 q over the last n_axes axes of p, for each leading index.
+
+    A zero cell adds a zero term, so each entropy is one sum over all the
+    cells of its block, whatever the other blocks hold.
+    """
+    lead, cells = p.shape[:p.ndim - n_axes], p.shape[p.ndim - n_axes:]
+    terms = p * np.log2(np.where(p > 0, p, 1.0))
+    return -terms.reshape(lead + (math.prod(cells),)).sum(axis=-1)
 
 
 def entropy(p) -> float:
@@ -175,19 +187,6 @@ class CommonInfoResult:
     steps: int
 
 
-def _softmax(z, axis=-1):
-    z = z - z.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=axis, keepdims=True)
-
-
-def _pad_rows(rows, n_rows):
-    """rows extended to n_rows with uniform rows."""
-    out = np.full((n_rows, rows.shape[1]), 1.0 / rows.shape[1])
-    out[:rows.shape[0]] = rows
-    return out
-
-
 # Penalty schedule of the Wyner search.  A continuation raises the weight
 # gamma geometrically from its start to _GAMMA_MID and on to _GAMMA_END, in
 # the two stage counts it is given.  The first continuation starts random
@@ -222,8 +221,8 @@ def _w_starts(target, nu, rng, restarts):
 
     The structured starts are U = S, U = A, U = (S, A) when the cardinality
     allows, and constant U.  Each is a fixed point of the block steps, so
-    they skip the continuation and the trivial upper bounds H(S), H(A) and
-    H(S,A) are never missed.
+    they skip the continuation, and of the trivial upper bounds H(S), H(A)
+    and H(S,A) none whose start is there is missed.
     """
     ns, na = target.shape
     s_idx, a_idx = np.indices((ns, na))
@@ -423,14 +422,9 @@ def _decomposition_values(target, pu, qs, qa):
     m = pu[..., None, None] * qs[..., None] * qa[..., None, :]
     tv = 0.5 * np.abs(m.sum(axis=-3) - target).sum(axis=(-2, -1))
     m = m / m.sum(axis=(-3, -2, -1), keepdims=True)
-
-    def entropies(p, axes):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return -np.where(p > 0, p * np.log2(p), 0.0).sum(axis=axes)
-
-    value = (entropies(m.sum(axis=(-2, -1)), -1)
-             + entropies(m.sum(axis=-3), (-2, -1))
-             - entropies(m, (-3, -2, -1)))
+    value = (_entropy_rows(m.sum(axis=(-2, -1)), 1)
+             + _entropy_rows(m.sum(axis=-3), 2)
+             - _entropy_rows(m, 3))
     return np.maximum(value, 0.0), tv
 
 
@@ -478,9 +472,11 @@ def wyner_common_information(target: JointDistribution, max_card_u: int,
     The reported value is I(S,A;U) of a decomposition p(u)Q(s|u)Q(a|u) that
     reproduces the target within total variation FEASIBILITY_TOL, so it is
     an upper bound on C(S;A) up to that tolerance; the problem is
-    nonconvex, so the bound is "best found".  The starts always include
-    U = S, U = A and, when the cardinality allows, U = (S, A), so the
-    trivial upper bounds are never missed.
+    nonconvex, so the bound is "best found".  The starts include U = S,
+    U = A and U = (S, A) whenever max_card_u is at least |S|, |A| and |S||A|
+    respectively, and the trivial upper bound each gives is then never
+    missed.  With max_card_u below |S|, no start guarantees H(S) (likewise
+    for A).
 
     Raises InfeasibleDecompositionError if no restart reconstructs the target
     joint within FEASIBILITY_TOL.

@@ -8,7 +8,6 @@ time average of best-response payoff functionals.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,13 +17,13 @@ from .game_core import (
     ConditionalDistribution,
     Game,
     optimal_state_strategy,
+    payoff_against_pure,
     solve_matrix_game,
     validate_prob_vector,
 )
 from .info_measures import (
     JointDistribution,
-    _pad_rows,
-    _softmax,
+    _entropy_rows,
     binary_entropy,
     inverse_binary_entropy,
 )
@@ -37,6 +36,9 @@ from .info_measures import (  # noqa: F401
 
 RATE_TOL = 1e-12
 INFO_TOL = 1e-12
+# the optimizer's objective loses this much payoff per bit of rate the
+# encoder lacks to cover the state
+INFEASIBILITY_PENALTY = 1e3
 
 
 def __getattr__(name):
@@ -168,17 +170,6 @@ def _joint_mass(prior, p_u_s, p_a_u):
     return prior[:, None, None] * p_u_s[..., :, :, None] * p_a_u[..., None, :, :]
 
 
-def _entropy_rows(p, n_axes):
-    """-sum q log2 q over the last n_axes axes of p, for each leading index.
-
-    A zero cell adds a zero term, so each entropy is one sum over all the
-    cells of its block, whatever the other blocks hold.
-    """
-    lead, cells = p.shape[:p.ndim - n_axes], p.shape[p.ndim - n_axes:]
-    terms = p * np.log2(np.where(p > 0, p, 1.0))
-    return -terms.reshape(lead + (math.prod(cells),)).sum(axis=-1)
-
-
 def _nonneg(x):
     """max(x, 0.0) elementwise, NaN and -0.0 passing through as in max()."""
     return np.where(x < 0.0, 0.0, x)[()]
@@ -207,17 +198,20 @@ def _stats_kernel(m, payoff) -> SchemeStats:
     h_su = _entropy_rows(p_su, 2)
     h_sa = _entropy_rows(p_sa, 2)
     h_sua = _entropy_rows(m, 3)
-    # w[..., s, u, b]: A's payoff mass in each (s, u) cell against each pure b
-    w = np.einsum("...sua,abs->...sub", m, payoff)
-    lead, (ns, nu, _) = m.shape[:-3], m.shape[-3:]
+    # w[..., u, s, b]: A's payoff mass per (u, s) cell and pure b, summed
+    # over s where B is blind to the state (as payoff_against_pure does, one
+    # contraction serving all four) and over all cells in (s, u) order where
+    # B sees neither: the bound optimizer's path follows pi_low's last bit
+    w = payoff_against_pure(m.swapaxes(-3, -2), payoff, b_sees_state=True)
+    w_su = np.ascontiguousarray(w.swapaxes(-3, -2))
     return SchemeStats(
         i_us=np.where(several_states, _nonneg(h_s + h_u - h_su), 0.0)[()],
         i_usa=_nonneg(h_u + h_sa - h_sua),
         i_ua_given_s=_nonneg(h_su + h_sa - h_s - h_sua),
-        pi_low=w.sum(axis=(-3, -2)).min(axis=-1)[()],
-        pi_low_s=w.sum(axis=-2).min(axis=-1).sum(axis=-1)[()],
-        pi_low_u=w.sum(axis=-3).min(axis=-1).sum(axis=-1)[()],
-        pi_low_su=w.min(axis=-1).reshape(lead + (ns * nu,)).sum(axis=-1)[()])
+        pi_low=w_su.sum(axis=(-3, -2)).min(axis=-1)[()],
+        pi_low_s=w.sum(axis=-3).min(axis=-1).sum(axis=-1)[()],
+        pi_low_u=w.sum(axis=-2).min(axis=-1).sum(axis=-1)[()],
+        pi_low_su=w.min(axis=-1).sum(axis=(-2, -1))[()])
 
 
 def scheme_statistics(game: Game, scheme: Scheme) -> SchemeStats:
@@ -295,7 +289,20 @@ class BoundSearch:
     restarts: int = 8
     iterations: int = 600
     seed: int = 0
-    infeasibility_penalty: float = 1e3
+
+
+def _softmax(z):
+    """Row-wise softmax over the last axis."""
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _pad_rows(rows, n_rows):
+    """rows extended to n_rows with uniform rows."""
+    out = np.full((n_rows, rows.shape[1]), 1.0 / rows.shape[1])
+    out[:rows.shape[0]] = rows
+    return out
 
 
 def _softmax_rows(theta, ns, nu, na):
@@ -313,10 +320,10 @@ def _scheme_from_logits(theta, ns, nu, na):
     return Scheme(ConditionalDistribution(p_u_s), ConditionalDistribution(p_a_u))
 
 
-def _penalized_payoff(stats, rate, b_knows_state, penalty):
+def _penalized_payoff(stats, rate, b_knows_state):
     """Bound payoff, less a penalty on the rate the encoder lacks to cover."""
     _, p = _bound_payoff(stats, rate, b_knows_state)
-    return p - penalty * _covering_gap(rate, stats.i_us)
+    return p - INFEASIBILITY_PENALTY * _covering_gap(rate, stats.i_us)
 
 
 def _optimizer_seeds(game: Game, card_u, rng, restarts):
@@ -477,7 +484,7 @@ def optimize_bound(game: Game, rate, b_knows_state: bool, card_u: int,
     def neg_obj(theta, rows):
         m = _joint_mass(game.prior, *_softmax_rows(theta, ns, card_u, na))
         return -_penalized_payoff(_stats_kernel(m, game.payoff), row_rates[rows],
-                                  b_knows_state, search.infeasibility_penalty)
+                                  b_knows_state)
 
     ends = _nelder_mead(neg_obj, np.tile(starts, (rates.size, 1)), search.iterations,
                         xatol=1e-8, fatol=1e-12)[0]
@@ -488,8 +495,7 @@ def optimize_bound(game: Game, rate, b_knows_state: bool, card_u: int,
             for candidate in (theta0, theta):
                 scheme = _scheme_from_logits(candidate, ns, card_u, na)
                 stats = scheme_statistics(game, scheme)
-                obj = _penalized_payoff(stats, r, b_knows_state,
-                                        search.infeasibility_penalty)
+                obj = _penalized_payoff(stats, r, b_knows_state)
                 # only a scheme the encoder can carry certifies its payoff;
                 # the constant-U start always can
                 if obj > best_obj and _covering_gap(r, stats.i_us) <= RATE_TOL:

@@ -32,6 +32,7 @@ from .game_core import (
     ConditionalDistribution,
     Game,
     optimal_state_strategy,
+    payoff_against_pure,
     solve_matrix_game,
     validate_prob_vector,
 )
@@ -476,12 +477,6 @@ def _oblivious_play(mixes, rng, state_seq):
     return (cdf[np.asarray(state_seq)] <= u[:, None]).sum(axis=1)
 
 
-def _best_response_to_joint(q_sa, payoff):
-    """argmin_b sum_{s,a} q(s,a) payoff(a,b,s)."""
-    vals = np.einsum("sa,abs->b", q_sa, payoff)
-    return int(np.argmin(vals))
-
-
 class ExactDecoderAdversary:
     """Exact Bayesian posterior over an enumerated set of candidate codewords.
 
@@ -518,17 +513,19 @@ class ExactDecoderAdversary:
     def act(self, t, s_t):
         # with all candidates ruled out, B plays against the scheme's marginal
         post, joint_sa = self._posterior(), self.tables.joint_sa
+        payoff = self.tables.game.payoff
         u_t = self.cands[:, t]
         if self.sees_state_seq:
-            q = np.zeros_like(joint_sa)
-            q[s_t] = (joint_sa[s_t] if post is None
-                      else (post[:, None] * self.p_a_rows[u_t]).sum(axis=0))
+            # only state s_t's payoffs enter
+            q = (joint_sa[s_t] if post is None
+                 else (post[:, None] * self.p_a_rows[u_t]).sum(axis=0))[None]
+            payoff = payoff[:, :, s_t:s_t + 1]
         elif post is None:
             q = joint_sa
         else:
             q = np.einsum("i,is,ia->sa", post, self.tables.p_s_given_u[u_t],
                           self.p_a_rows[u_t])
-        return _best_response_to_joint(q, self.tables.game.payoff)
+        return int(payoff_against_pure(q, payoff, self.sees_state_seq).argmin())
 
     def observe(self, t, s_t, a_t):
         u_t = self.cands[:, t]
@@ -611,23 +608,20 @@ class _SchemeTables:
         # [informed, s, u] once the codeword symbol u is known
         ns, nu = self.prior.size, self.p_u.size
         pa = scheme.p_a_given_u.rows
-        self.marginal_br = np.empty((2, ns), dtype=np.int64)
-        self.decoded_br = np.empty((2, ns, nu), dtype=np.int64)
-        self.marginal_br[0] = _best_response_to_joint(self.joint_sa, game.payoff)
-        self.decoded_br[0] = [_best_response_to_joint(
-            np.outer(self.p_s_given_u[u], pa[u]), game.payoff) for u in range(nu)]
-        for s in range(ns):
-            self.marginal_br[1, s] = self._state_response(s, self.p_a_given_s[s])
-            for u in range(nu):
-                self.decoded_br[1, s, u] = self._state_response(s, pa[u])
+        # (u, s, a) masses given the decoded u: the joint for a B blind to
+        # the state, and A's law in every state for a B that sees it
+        blind_sa = self.p_s_given_u[:, :, None] * pa[:, None, :]
+        seen_sa = np.broadcast_to(pa[:, None, :], blind_sa.shape)
+        self.marginal_br = np.stack([
+            np.full(ns, payoff_against_pure(self.joint_sa, game.payoff, False).argmin()),
+            payoff_against_pure(self.p_a_given_s, game.payoff, True).argmin(axis=-1)])
+        self.decoded_br = np.stack([
+            np.broadcast_to(payoff_against_pure(blind_sa, game.payoff, False)
+                            .argmin(axis=-1), (ns, nu)),
+            payoff_against_pure(seen_sa, game.payoff, True).argmin(axis=-1).T])
         self._tails = {}
         self._log_typical = {}
         self._boxes = {}
-
-    def _state_response(self, s, p_a):
-        q = np.zeros_like(self.joint_sa)
-        q[s] = p_a
-        return _best_response_to_joint(q, self.game.payoff)
 
     def competitor_tail(self, informed):
         """The `_CompetitorTail` of a competitor codeword's log weight.

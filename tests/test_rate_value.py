@@ -1,5 +1,7 @@
 """Rate-value bound evaluation, optimization, and the layered variant."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -31,7 +33,7 @@ from statehelper import (
     threshold_alpha,
 )
 from statehelper import rate_value
-from statehelper.game_core import min_payoff_given_observation
+from statehelper.game_core import min_payoff_given_observation, payoff_against_pure
 from statehelper.rate_value import (
     INFO_TOL,
     RATE_TOL,
@@ -43,6 +45,7 @@ from statehelper.rate_value import (
     _softmax_rows,
     _stats_kernel,
 )
+from statehelper.simulator import _SchemeTables
 from conftest import FORBIDDEN, random_game, random_scheme
 
 H_QUARTER = binary_entropy(0.25)
@@ -419,21 +422,62 @@ def test_property_kernel_matches_reference(pair):
         assert _close(getattr(stats, name), getattr(ref, name)), name
 
 
+def _attains_minimum(best, terms):
+    """Whether pure action `best` attains min_b sum(terms[b]), each sum exact,
+    within a few ulps of the terms' magnitude."""
+    totals = [math.fsum(row) for row in terms.reshape(terms.shape[0], -1)]
+    slack = 1e-12 * (1.0 + np.abs(terms).sum())
+    return totals[best] <= min(totals) + slack
+
+
+@SETTINGS
+@given(games_and_schemes())
+def test_property_best_response_kernel(pair):
+    """B's minimum per observation cell from the one kernel is the reference
+    minimum under each observation pattern, and each simulator best response
+    attains a brute-force minimum."""
+    game, scheme = pair
+    m = scheme.joint(game.prior).mass  # (s, u, a)
+    m_us = m.swapaxes(0, 1)
+    cells = {(): payoff_against_pure(m.sum(axis=1), game.payoff, False),
+             (0,): payoff_against_pure(m.sum(axis=1), game.payoff, True),
+             (1,): payoff_against_pure(m_us, game.payoff, False),
+             (0, 1): payoff_against_pure(m_us, game.payoff, True)}
+    for observed, w in cells.items():
+        ref = min_payoff_given_observation(m, game.payoff, a_axis=2, s_axis=0,
+                                           observed_axes=observed)
+        assert _close(float(w.min(axis=-1).sum()), ref, tol=1e-9), observed
+
+    tables = _SchemeTables(game, scheme)
+    payoff, pa = game.payoff.transpose(1, 0, 2), scheme.p_a_given_u.rows  # (b, a, s)
+    ns, nu = tables.marginal_br.shape[1], tables.decoded_br.shape[2]
+    blind = tables.marginal_br[0]
+    assert (blind == blind[0]).all()
+    assert _attains_minimum(blind[0], tables.joint_sa.T * payoff)
+    for s in range(ns):
+        assert _attains_minimum(tables.marginal_br[1, s],
+                                tables.p_a_given_s[s] * payoff[:, :, s])
+        for u in range(nu):
+            assert tables.decoded_br[0, s, u] == tables.decoded_br[0, 0, u]
+            assert _attains_minimum(
+                tables.decoded_br[0, s, u],
+                np.outer(pa[u], tables.p_s_given_u[u]) * payoff)
+            assert _attains_minimum(tables.decoded_br[1, s, u],
+                                    pa[u] * payoff[:, :, s])
+
+
 @SETTINGS
 @given(games_and_schemes(), st.floats(0.0, 3.0), st.booleans(),
        st.integers(0, 2**32 - 1))
 def test_property_objective_on_rows_matches_scheme_path(pair, rate, informed, seed):
     game, scheme = pair
-    penalty = BoundSearch().infeasibility_penalty
 
     def objective(p_u_s, p_a_u):  # what the optimizer evaluates
         m = game.prior[:, None, None] * p_u_s[:, :, None] * p_a_u[None]
-        return _penalized_payoff(_stats_kernel(m, game.payoff), rate, informed,
-                                 penalty)
+        return _penalized_payoff(_stats_kernel(m, game.payoff), rate, informed)
 
     def checked(s):  # what picks and certifies the winner
-        return _penalized_payoff(scheme_statistics(game, s), rate, informed,
-                                 penalty)
+        return _penalized_payoff(scheme_statistics(game, s), rate, informed)
 
     assert objective(scheme.p_u_given_s.rows, scheme.p_a_given_u.rows) \
         == checked(scheme)

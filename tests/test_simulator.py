@@ -19,10 +19,10 @@ from statehelper import (
     run_match,
     simulator,
 )
+from statehelper.game_core import payoff_against_pure
 from statehelper.simulator import (
     EncoderFailure,
     ExactDecoderAdversary,
-    _best_response_to_joint,
     _decoder_play,
     _rule_prior,
     _SchemeTables,
@@ -531,9 +531,8 @@ def test_decoder_without_candidates_plays_the_marginal(erasure_game, optimal_sch
     assert adv.kept.size == 0 and adv.cands.shape == (0, 12)
     s_seq = np.random.default_rng(6).integers(0, 2, size=12)
     b_seq, decode = _decoder_play(adv, s_seq, np.ones(12, dtype=int), 3)
-    marginal = [_best_response_to_joint(np.where(np.arange(2)[:, None] == s,
-                                                 tables.joint_sa, 0.0),
-                                        erasure_game.payoff) for s in s_seq]
+    marginal = payoff_against_pure(tables.joint_sa, erasure_game.payoff,
+                                   b_sees_state=True).argmin(axis=-1)[s_seq]
     assert np.array_equal(b_seq, marginal)
     assert not decode.any()
     assert not adv.decoded_true(0) and not adv.decoded_true(None)
