@@ -12,20 +12,20 @@ process on the same cases:
   `statehelper.cli.main` on the inputs `bench/workloads.py` writes;
 - the grid: the erasure game of tests/conftest.py with its optimal scheme,
   adversary `decoder`, `decoder_with_state` or `oblivious` (B informed
-  unless the adversary is `decoder`), selection `tilted`, `uniform` or
-  `first`, match seeds 0 and 1, 40 trials, at five operating points
+  unless the adversary is `decoder`), selection `tilted` or `first`,
+  match seeds 0 and 1, 40 trials, at five operating points
   (`GRID_POINTS`): two materialized codebooks (n = 16 and an n = 10 point
   where some trials fail to encode), the virtual criterion-7 point, a
   virtual n = 100 point whose trials do not fill the saddlepoint batches
   evenly, and a virtual n = 40 point whose informed decoder enumerates the
-  typical set (90 cases);
+  typical set (60 cases);
 - the same adversaries, selections and seeds on a random game with 3
   states and 3 actions per player and a random scheme with 3 symbols
   (`conftest.random_game`, then `conftest.random_scheme`, from
   `default_rng(0)`), at two points (`RANDOM_POINTS`): a materialized
   n = 12 codebook where about a third of the trials fail to encode, and
   the n = 12 point forced virtual (codebook cap 1), where the informed
-  decoder enumerates the typical set (36 cases);
+  decoder enumerates the typical set (24 cases);
 - the two 300-trial matches of the test suite's exact-against-virtual
   check (n = 16, seed 2, materialized and forced virtual), whose trial 271
   meets an exact tie between B's actions.
@@ -57,7 +57,7 @@ ROOT = Path(__file__).resolve().parent.parent
 HERE_SRC = ROOT / "src"
 BENCH_SEEDS = (1,) + tuple(range(100, 110)) + tuple(range(311, 317))
 ADVERSARIES = ("decoder", "decoder_with_state", "oblivious")
-SELECTIONS = ("tilted", "uniform", "first")
+SELECTIONS = ("tilted", "first")
 GRID_SEEDS = (0, 1)
 GRID_TRIALS = 40
 GRID_POINTS = (  # (name, n, rate, epsilon)

@@ -37,7 +37,7 @@ from .rate_value import (
     theorem1_payoff,
     threshold_alpha,
 )
-from .simulator import MatchConfig, run_match
+from .simulator import ADVERSARIES, DEFAULT_EPSILON, MatchConfig, run_match
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -319,10 +319,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--adversary", default="decoder_with_state",
-                   choices=("oblivious", "decoder", "decoder_with_state"))
+    p.add_argument("--adversary", default="decoder_with_state", choices=ADVERSARIES)
     p.add_argument("--b-knows-state", action="store_true")
-    p.add_argument("--epsilon", type=float, default=0.05)
+    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_simulate)

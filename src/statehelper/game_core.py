@@ -25,7 +25,13 @@ DEFAULT_NEG_INF = -1e6
 
 def validate_prob_vector(p, tol=PROB_TOL, what="probability vector"):
     """Check finiteness, nonnegativity and normalization; renormalize drift
-    below `tol`."""
+    below `tol`.
+
+    Idempotent: a vector whose float sum is within p.size ulps of 1 comes
+    back as it is.  Dividing by such a sum could move an entry by an ulp,
+    and the quotient's own sum lies within that bound, so a vector this
+    returns passes through again bit for bit.
+    """
     p = np.asarray(p, dtype=float)
     if not np.all(np.isfinite(p)):
         raise ContractViolationError(f"{what} has non-finite entries: {p}")
@@ -35,7 +41,7 @@ def validate_prob_vector(p, tol=PROB_TOL, what="probability vector"):
     s = p.sum()
     if abs(s - 1.0) > tol * max(1.0, p.size):
         raise ContractViolationError(f"{what} sums to {s}, expected 1")
-    return p / s
+    return p if abs(s - 1.0) <= p.size * _ROUNDING else p / s
 
 
 @dataclass(frozen=True)

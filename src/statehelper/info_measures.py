@@ -18,6 +18,7 @@ from .game_core import ConditionalDistribution, validate_prob_vector
 
 MASS_TOL = 1e-12
 FEASIBILITY_TOL = 1e-10  # total variation between a reported decomposition and the target
+_EPS = np.finfo(float).eps
 
 
 def __getattr__(name):
@@ -27,15 +28,6 @@ def __getattr__(name):
         from scipy.optimize import minimize
         return minimize
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def _entropy_bits(p) -> float:
-    """-sum q log2 q over the positive entries q of the array p (0 log 0 = 0).
-
-    Unchecked: p is taken to be a pmf of any shape.
-    """
-    q = p[p > 0]
-    return float(-(q * np.log2(q)).sum())
 
 
 def _entropy_rows(p, n_axes):
@@ -52,7 +44,7 @@ def _entropy_rows(p, n_axes):
 def entropy(p) -> float:
     """Shannon entropy -sum p log2 p with 0 log 0 = 0."""
     p = validate_prob_vector(np.ravel(np.asarray(p, dtype=float)), tol=1e-9, what="pmf")
-    return _entropy_bits(p)
+    return float(_entropy_rows(p, 1))
 
 
 def binary_entropy(p: float) -> float:
@@ -112,18 +104,23 @@ def _check_grouping(joint, groups):
             f"grouping {groups} is not a disjoint cover of axes 0..{joint.mass.ndim - 1}")
 
 
-def _marginal_entropy(joint, axes):
-    return _entropy_bits(joint.marginal(tuple(axes)))
+def _information(joint, plus, minus):
+    """The entropies of the axis groups `plus` less those of `minus`, summed
+    left to right and floored at 0.  A total within the entropies' rounding
+    error (an ulp of their sum per cell) is 0 too, so an independent joint
+    reads 0 whichever way its entropies round."""
+    total = size = 0.0
+    for sign, group in [(1.0, g) for g in plus] + [(-1.0, g) for g in minus]:
+        h = float(_entropy_rows(joint.marginal(group), len(group)))
+        total, size = total + sign * h, size + h
+    return total if total > joint.mass.size * _EPS * size else 0.0
 
 
 def mutual_information(joint: JointDistribution, group_x, group_y) -> float:
     """I(X;Y) between two disjoint groups of axes covering the joint."""
     group_x, group_y = tuple(group_x), tuple(group_y)
     _check_grouping(joint, (group_x, group_y))
-    hx = _marginal_entropy(joint, group_x)
-    hy = _marginal_entropy(joint, group_y)
-    hxy = _entropy_bits(joint.mass)
-    return max(hx + hy - hxy, 0.0)
+    return _information(joint, (group_x, group_y), (tuple(range(joint.mass.ndim)),))
 
 
 def conditional_mutual_information(joint: JointDistribution, group_x, group_y,
@@ -131,11 +128,8 @@ def conditional_mutual_information(joint: JointDistribution, group_x, group_y,
     """I(X;Y|Z) for three disjoint groups of axes covering the joint."""
     group_x, group_y, group_z = tuple(group_x), tuple(group_y), tuple(group_z)
     _check_grouping(joint, (group_x, group_y, group_z))
-    hxz = _marginal_entropy(joint, group_x + group_z)
-    hyz = _marginal_entropy(joint, group_y + group_z)
-    hz = _marginal_entropy(joint, group_z)
-    hxyz = _entropy_bits(joint.mass)
-    return max(hxz + hyz - hz - hxyz, 0.0)
+    return _information(joint, (group_x + group_z, group_y + group_z),
+                        (group_z, tuple(range(joint.mass.ndim))))
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ DEFAULT_CODEBOOK_CAP = 1 << 22  # total symbols: count * n
 DEFAULT_EPSILON = 0.05
 BOX_MATERIALIZE_CAP = 4096  # typical-set members materialized below this
 ADVERSARIES = ("oblivious", "decoder", "decoder_with_state")
-SELECTIONS = ("tilted", "uniform", "first")
+SELECTIONS = ("tilted", "first")
 
 _LOG2 = np.log(2.0)
 _NEG_INF = -np.inf
@@ -186,28 +186,15 @@ def _typical_codewords(sequences, state_seq, scheme, epsilon):
 
 def _select_codeword(idx, log_w, selection, seed):
     """The encoder's choice among the typical codewords `idx` (see `encode`)."""
+    if selection not in SELECTIONS:
+        raise ContractViolationError(f"unknown selection rule {selection!r}")
     if idx.size == 0:
         raise EncoderFailure("no jointly typical codeword in the codebook")
     if selection == "first":
         return int(idx[0])
-    rng = np.random.default_rng(seed)
-    if selection == "uniform":
-        return int(rng.choice(idx))
-    if selection != "tilted":
-        raise ContractViolationError(f"unknown selection rule {selection!r}")
     # finite: a typical codeword pairs no symbol with a state it has p(u|s) = 0
     w = np.exp(log_w[idx] - log_w[idx].max())
-    return int(rng.choice(idx, p=w / w.sum()))
-
-
-def _rule_prior(idx, log_w, selection):
-    """Log prior over codewords of an adversary who sees the states and the rule."""
-    if selection == "tilted":
-        return log_w
-    prior = np.full(log_w.size, _NEG_INF)
-    # the deterministic encoder's choice is reproducible: the lowest index
-    prior[idx[:1] if selection == "first" else idx] = 0.0
-    return prior
+    return int(np.random.default_rng(seed).choice(idx, p=w / w.sum()))
 
 
 def encode(codebook: Codebook, state_seq, scheme: Scheme, epsilon: float,
@@ -217,8 +204,7 @@ def encode(codebook: Codebook, state_seq, scheme: Scheme, epsilon: float,
     Typicality is measured against the empirical state type.  Selection
     "tilted" weights typical codewords by their conditional likelihood given
     the states (so the chosen codeword behaves like an i.i.d. p(U|S) draw);
-    "uniform" picks uniformly among typical codewords; "first"
-    deterministically takes the lowest index (rate-distortion style).
+    "first" deterministically takes the lowest index (rate-distortion style).
     Raises EncoderFailure when no codeword qualifies.
     """
     state_seq = np.asarray(state_seq)
@@ -484,7 +470,8 @@ class ExactDecoderAdversary:
     rule; likelihoods accumulate observed actions (and states when they are
     only revealed causally).  A candidate of prior log weight -inf can never
     regain weight, so only the others are kept (`kept`, in candidate order).
-    The scheme's laws come from the match's `_SchemeTables`.
+    Some candidate must keep a finite weight: in a trial the sent codeword
+    does.  The scheme's laws come from the match's `_SchemeTables`.
     """
 
     def __init__(self, tables, candidates, prior_logw, sees_state_seq):
@@ -499,10 +486,7 @@ class ExactDecoderAdversary:
         self.p_a_rows = tables.scheme.p_a_given_u.rows
 
     def _posterior(self):
-        m = self.logw.max(initial=_NEG_INF)
-        if not np.isfinite(m):
-            return None
-        w = np.exp(self.logw - m)
+        w = np.exp(self.logw - self.logw.max())
         # normalized by the sum over every candidate: numpy's pairwise sum
         # groups the kept weights by their positions in the full list, so
         # this rounds as the unpruned posterior does and breaks B's exact
@@ -511,17 +495,12 @@ class ExactDecoderAdversary:
         return w / self._all_w.sum()
 
     def act(self, t, s_t):
-        # with all candidates ruled out, B plays against the scheme's marginal
-        post, joint_sa = self._posterior(), self.tables.joint_sa
-        payoff = self.tables.game.payoff
+        post, payoff = self._posterior(), self.tables.game.payoff
         u_t = self.cands[:, t]
         if self.sees_state_seq:
             # only state s_t's payoffs enter
-            q = (joint_sa[s_t] if post is None
-                 else (post[:, None] * self.p_a_rows[u_t]).sum(axis=0))[None]
+            q = (post[:, None] * self.p_a_rows[u_t]).sum(axis=0)[None]
             payoff = payoff[:, :, s_t:s_t + 1]
-        elif post is None:
-            q = joint_sa
         else:
             q = np.einsum("i,is,ia->sa", post, self.tables.p_s_given_u[u_t],
                           self.p_a_rows[u_t])
@@ -535,8 +514,6 @@ class ExactDecoderAdversary:
 
     def decoded_true(self, true_idx):
         """Whether the true candidate alone has the highest posterior weight."""
-        if true_idx is None:
-            return False
         pos = np.searchsorted(self.kept, true_idx)
         if pos == self.kept.size or self.kept[pos] != true_idx:
             return False  # dropped: its weight is -inf
@@ -698,21 +675,11 @@ def _decoder_play(adv, s_seq, a_seq, true_idx):
     return b_seq, decode
 
 
-def _exact_decoder(tables, candidates, informed, typical, selection):
-    """The exact decoder over `candidates`.  An informed one starts from the
-    selection rule's prior over `typical`, the (indices, log weights) of
-    `_typical_codewords`; an uninformed one from a flat prior."""
-    prior_logw = (_rule_prior(*typical, selection) if informed
-                  else np.zeros(len(candidates)))
-    return ExactDecoderAdversary(tables, candidates, prior_logw,
-                                 sees_state_seq=informed)
-
-
 def _box_source(tables, cfg, log_n_codewords, rng, s_seq, informed):
     """Codewords of a codebook too large to materialize: (members, u_sent).
 
     The typical-set size is a Poisson draw.  Against an informed adversary,
-    a randomized rule and at most BOX_MATERIALIZE_CAP members, the members
+    the tilted rule and at most BOX_MATERIALIZE_CAP members, the members
     are drawn (plain p_U codebook draws given the box) for the encoder to
     select from.  Otherwise members is None and u_sent is one codeword drawn
     from the selection rule's law given the box, or None if nothing is
@@ -723,7 +690,7 @@ def _box_source(tables, cfg, log_n_codewords, rng, s_seq, informed):
     lam = (np.exp(min(log_n_codewords + log_ptyp, 700)) if np.isfinite(log_ptyp)
            else 0.0)
     m = int(rng.poisson(min(lam, 1e9)))
-    enumerate_members = (informed and cfg.selection != "first"
+    enumerate_members = (informed and cfg.selection == "tilted"
                          and m <= BOX_MATERIALIZE_CAP)
     tilted = cfg.selection == "tilted" and not enumerate_members
     boxes = tables.sampling_boxes(state_counts, cfg.epsilon, tilted) if m else None
@@ -740,10 +707,10 @@ def _run_trial(tables, cfg, rate, rng, adversary):
     fits `cfg.codebook_cap`, else `_box_source`.  Candidates from either
     source (the codebook, or enumerated typical-set members) go through the
     same typicality test and selection rule.  B's play is the first that
-    applies of: the oblivious mix; against the deterministic "first" rule,
+    applies of: the oblivious mix; after an encoder failure, the best
+    response to the scheme marginal; against the deterministic "first" rule,
     informed, the best response to the reproduced codeword; the exact
-    decoder over the candidates; after an encoder failure with no
-    candidates, the best response to the scheme marginal; else the
+    decoder over the candidates, whose informed prior is the tilt; else the
     saddlepoint blend of `_AnalyticTrial`, whose trial is returned in place
     of its payoffs until `_settle` solves its tails.
     """
@@ -758,11 +725,11 @@ def _run_trial(tables, cfg, rate, rng, adversary):
         log_n_codewords = int(np.ceil(n * rate - 1e-12)) * _LOG2
         candidates, u_sent = _box_source(tables, cfg, log_n_codewords, rng, s_seq,
                                          informed)
-    true_idx = None
     if candidates is not None:
-        typical = _typical_codewords(candidates, s_seq, scheme, cfg.epsilon)
+        idx, log_w = _typical_codewords(candidates, s_seq, scheme, cfg.epsilon)
         try:
-            true_idx = _select_codeword(*typical, selection, int(rng.integers(1 << 62)))
+            true_idx = _select_codeword(idx, log_w, selection,
+                                        int(rng.integers(1 << 62)))
             u_sent = candidates[true_idx]
         except EncoderFailure:
             pass
@@ -776,17 +743,19 @@ def _run_trial(tables, cfg, rate, rng, adversary):
     decode = np.zeros(n)
     if adversary == "oblivious":
         b_seq = _oblivious_play(tables.oblivious_mixes(cfg.b_knows_state), rng, s_seq)
-    elif informed and selection == "first" and not failed:
+    elif failed:
+        b_seq = tables.marginal_br[int(informed), s_seq]
+    elif informed and selection == "first":
         # the deterministic encoder always sends the lowest-index typical
         # codeword, so a protocol-aware state-informed adversary reproduces
         # the choice and knows the codeword before play starts
         b_seq = tables.decoded_br[1, s_seq, u_sent]
         decode[:] = 1.0
     elif candidates is not None:
-        adv = _exact_decoder(tables, candidates, informed, typical, selection)
+        adv = ExactDecoderAdversary(tables, candidates,
+                                    log_w if informed else np.zeros(len(candidates)),
+                                    sees_state_seq=informed)
         b_seq, decode = _decoder_play(adv, s_seq, a_seq, true_idx)
-    elif failed:
-        b_seq = tables.marginal_br[int(informed), s_seq]
     else:
         # the payoffs wait for a saddlepoint solve shared with other trials
         return _AnalyticTrial(tables, s_seq, a_seq, u_sent, informed,
@@ -872,15 +841,18 @@ def adversary_play(model: str, past_states, past_actions, codebook: Codebook,
                    selection: str = "tilted", seed: int = 0):
     """One adversary action at `iteration` given the visible history.
 
-    Stateless convenience wrapper over the adversaries of the materialized
-    trial: the posterior is recomputed from the full history each call.
+    Stateless wrapper over B's play in a materialized trial (`_run_trial`):
+    the posterior is recomputed from the full history each call.
     `state_seq` supplies the whole block for the state-aware model, whose
-    prior is the encoder's typical set at the empirical state type weighted
-    by the selection rule ("first" is reproduced exactly); the plain decoder
-    sees only past states causally.
+    prior is the tilt over the encoder's typical set at the empirical state
+    type; against "first" it reproduces the sent codeword and plays the
+    trial's lookup.  The plain decoder sees only past states causally.  With
+    no candidate left, B best-responds to the scheme marginal.
     """
     if model not in ADVERSARIES:
         raise ContractViolationError(f"unknown adversary {model!r}")
+    if selection not in SELECTIONS:
+        raise ContractViolationError(f"unknown selection rule {selection!r}")
     tables = _SchemeTables(game, scheme)
     if model == "oblivious":
         sees_state = state_seq is not None
@@ -890,14 +862,18 @@ def adversary_play(model: str, past_states, past_actions, codebook: Codebook,
     informed = model == "decoder_with_state"
     if informed and state_seq is None:
         raise ContractViolationError("decoder_with_state needs the full state sequence")
-    typical = (_typical_codewords(codebook.sequences, np.asarray(state_seq), scheme,
-                                  epsilon) if informed else None)
-    adv = _exact_decoder(tables, codebook.sequences, informed, typical, selection)
-    past_states = np.asarray(past_states, dtype=int)
-    past_actions = np.asarray(past_actions, dtype=int)
-    for t in range(iteration):
-        adv.observe(t, past_states[t], past_actions[t])
     s_t = int(state_seq[iteration]) if state_seq is not None else 0
+    prior_logw = np.zeros(codebook.count)
+    if informed:
+        idx, prior_logw = _typical_codewords(codebook.sequences, np.asarray(state_seq),
+                                             scheme, epsilon)
+        if selection == "first" and idx.size:
+            return int(tables.decoded_br[1, s_t, codebook.sequences[idx[0], iteration]])
+    adv = ExactDecoderAdversary(tables, codebook.sequences, prior_logw, informed)
+    for t in range(iteration):
+        adv.observe(t, int(past_states[t]), int(past_actions[t]))
+    if not np.isfinite(adv.logw.max(initial=_NEG_INF)):
+        return int(tables.marginal_br[int(informed), s_t])
     return adv.act(iteration, s_t)
 
 

@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog as scipy_linprog
 
@@ -182,12 +182,14 @@ def games(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(games())
+# dividing these weights' prior by its float sum again moved it by 4.4e-16
+@example(_game([8, 9, 4, 4, 4], np.zeros((1, 1, 5))))
 def test_values_agree_with_highs_under_all_information_pairs(game):
-    """Also: serialize_game -> parse_game keeps every -inf cell, and the value.
-    Parsing renormalizes the prior, which can move it by an ulp."""
+    """Also: serialize_game -> parse_game keeps every -inf cell, the prior
+    bit for bit, and the value."""
     again = parse_game(serialize_game(game))
     np.testing.assert_array_equal(again.payoff, game.payoff)
-    np.testing.assert_allclose(again.prior, game.prior, rtol=4e-16, atol=0.0)
+    np.testing.assert_array_equal(again.prior, game.prior)
     ns = game.n_states
     for level_a in LEVELS:
         for level_b in LEVELS:

@@ -11,6 +11,7 @@ from statehelper import (
     parse_scheme,
     serialize_game,
     serialize_scheme,
+    simulator,
     solve_matrix_game,
 )
 from statehelper.cli import main
@@ -215,6 +216,18 @@ def test_simulate_csv_deterministic(erasure_file, scheme_file, capsys):
     lines = first.strip().splitlines()
     assert lines[0] == "k,mean_payoff_at_k,decode_success_at_k"
     assert len(lines) == 13
+
+
+def test_simulate_options_are_the_simulators():
+    """The adversaries and the default epsilon are the simulator's own."""
+    argv = ["simulate", "game.yaml", "scheme.yaml", "--rate", "0.7", "--n", "8",
+            "--trials", "1"]
+    assert cli.build_parser().parse_args(argv).epsilon == simulator.DEFAULT_EPSILON
+    for adversary in simulator.ADVERSARIES:
+        args = cli.build_parser().parse_args(argv + ["--adversary", adversary])
+        assert args.adversary == adversary
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(argv + ["--adversary", "psychic"])
 
 
 def test_simulate_out_file(erasure_file, scheme_file, tmp_path, capsys):

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from statehelper import (
     ConditionalDistribution,
@@ -201,6 +203,18 @@ def test_non_finite_entries_are_not_probabilities(bad):
         ConditionalDistribution(np.atleast_2d(bad))
     with pytest.raises(ContractViolationError, match="non-finite"):
         validate_prob_vector(np.ravel(bad))
+
+
+@given(weights=st.lists(st.integers(1, 9), min_size=1, max_size=12),
+       drift=st.sampled_from([1.0, 1.0 + 1e-14, 1.0 - 1e-14]))
+@example(weights=[8, 9, 4, 4, 4], drift=1.0)
+def test_validate_prob_vector_is_idempotent(weights, drift):
+    """A vector it has returned comes back bit for bit, and drift below the
+    tolerance is renormalized away."""
+    w = np.asarray(weights, dtype=float)
+    p = validate_prob_vector(w / w.sum() * drift)
+    assert np.array_equal(validate_prob_vector(p), p)
+    assert abs(p.sum() - 1.0) <= p.size * np.finfo(float).eps
 
 
 def test_more_information_for_b_never_helps_a():

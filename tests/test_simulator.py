@@ -19,12 +19,10 @@ from statehelper import (
     run_match,
     simulator,
 )
-from statehelper.game_core import payoff_against_pure
 from statehelper.simulator import (
     EncoderFailure,
     ExactDecoderAdversary,
     _decoder_play,
-    _rule_prior,
     _SchemeTables,
     _select_codeword,
     _typical_codewords,
@@ -171,12 +169,24 @@ def test_encode_selection_rules_are_deterministic():
     rng = np.random.default_rng(8)
     s_seq = rng.integers(0, 2, size=16)
     book = build_codebook(scheme, n=16, rate=1.0, seed=5)
-    for selection in ("tilted", "uniform", "first"):
+    for selection in ("tilted", "first"):
         a = encode(book, s_seq, scheme, 0.1, seed=7, selection=selection)
         b = encode(book, s_seq, scheme, 0.1, seed=7, selection=selection)
         assert a == b
+
+
+@pytest.mark.parametrize("selection", ["uniform", "nope"])
+def test_unknown_selection_rules_are_rejected(selection, erasure_game, optimal_scheme):
+    s_seq = np.random.default_rng(8).integers(0, 2, size=16)
+    book = build_codebook(optimal_scheme, n=16, rate=1.0, seed=5)
     with pytest.raises(ContractViolationError):
-        encode(book, s_seq, scheme, 0.1, seed=7, selection="nope")
+        encode(book, s_seq, optimal_scheme, 0.1, seed=7, selection=selection)
+    with pytest.raises(ContractViolationError):
+        MatchConfig(n=16, trials=1, selection=selection)
+    for model in ("decoder", "decoder_with_state"):
+        with pytest.raises(ContractViolationError):
+            adversary_play(model, s_seq[:3], [1, 1, 1], book, optimal_scheme,
+                           erasure_game, 3, state_seq=s_seq, selection=selection)
 
 
 def test_covering_threshold_transition():
@@ -318,11 +328,14 @@ def test_adversary_play_wrapper(erasure_game, optimal_scheme):
 
 @pytest.mark.parametrize("model, selection", [("decoder", "tilted"),
                                               ("decoder_with_state", "tilted"),
-                                              ("decoder_with_state", "uniform")])
+                                              ("decoder_with_state", "first")])
 @pytest.mark.parametrize("erasure", [True, False])
 def test_adversary_play_is_the_trials_decoder(model, selection, erasure):
-    """At every iteration `adversary_play` returns the action that the
-    trial's exact decoder plays on the same codebook and history."""
+    """At every iteration `adversary_play` returns the action that B plays
+    in a materialized trial on the same codebook and history: the exact
+    decoder, the lookup against "first", or the marginal response after an
+    encoder failure.  The uninformed model cannot tell that the encoder
+    failed, so its failed blocks are skipped."""
     informed = model == "decoder_with_state"
     epsilon = 0.1
     for seed in range(6):
@@ -338,12 +351,19 @@ def test_adversary_play_is_the_trials_decoder(model, selection, erasure):
         idx, log_w = _typical_codewords(book.sequences, s_seq, scheme, epsilon)
         try:
             true_idx = _select_codeword(idx, log_w, selection, seed)
-            a_seq = decode_actions(book.sequences[true_idx], scheme, seed)
         except EncoderFailure:
-            true_idx, a_seq = None, rng.choice(3, size=12)
-        prior = _rule_prior(idx, log_w, selection) if informed else np.zeros(book.count)
-        adv = ExactDecoderAdversary(tables, book.sequences, prior, informed)
-        b_seq, _ = _decoder_play(adv, s_seq, a_seq, true_idx)
+            if not informed:
+                continue
+            a_seq, b_seq = rng.choice(3, size=12), tables.marginal_br[1, s_seq]
+        else:
+            u_seq = book.sequences[true_idx]
+            a_seq = decode_actions(u_seq, scheme, seed)
+            if informed and selection == "first":
+                b_seq = tables.decoded_br[1, s_seq, u_seq]
+            else:
+                prior = log_w if informed else np.zeros(book.count)
+                adv = ExactDecoderAdversary(tables, book.sequences, prior, informed)
+                b_seq, _ = _decoder_play(adv, s_seq, a_seq, true_idx)
         for t in range(12):
             b = adversary_play(model, s_seq[:t], a_seq[:t], book, scheme, game, t,
                                state_seq=s_seq if informed else None,
@@ -449,15 +469,10 @@ class KeepEveryCandidate(ExactDecoderAdversary):
         self.logw = np.array(prior_logw, dtype=float)
 
     def _posterior(self):
-        m = self.logw.max()
-        if not np.isfinite(m):
-            return None
-        w = np.exp(self.logw - m)
+        w = np.exp(self.logw - self.logw.max())
         return w / w.sum()
 
     def decoded_true(self, true_idx):
-        if true_idx is None:
-            return False
         top = self.logw[true_idx]
         return bool(np.isfinite(top)) and np.count_nonzero(self.logw >= top) == 1
 
@@ -465,12 +480,14 @@ class KeepEveryCandidate(ExactDecoderAdversary):
 @settings(max_examples=120, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12),
        rate=st.sampled_from([0.4, 0.6, 0.8, 1.0]),
-       selection=st.sampled_from(["tilted", "uniform", "first"]),
+       selection=st.sampled_from(["tilted", "first"]),
        erasure=st.booleans())
 def test_property_pruned_decoder_plays_as_the_full_posterior(seed, n, rate,
                                                              selection, erasure):
     """Dropping the candidates of prior weight zero changes no action of B
-    and no decode indicator, whether or not the encoder finds a codeword."""
+    and no decode indicator.  The decoder runs once the encoder has found a
+    codeword; the informed prior is the tilt, or against "first" all mass
+    on the sent codeword, whose play must be the trial's lookup."""
     rng = np.random.default_rng(seed)
     if erasure:
         game, scheme = make_erasure_game(), make_optimal_erasure_scheme()
@@ -482,13 +499,14 @@ def test_property_pruned_decoder_plays_as_the_full_posterior(seed, n, rate,
     book = build_codebook(scheme, n, rate, int(rng.integers(1 << 62)),
                           prior=game.prior)
     idx, log_w = _typical_codewords(book.sequences, s_seq, scheme, 0.1)
-    try:
-        true_idx = _select_codeword(idx, log_w, selection, int(rng.integers(1 << 62)))
-        a_seq = decode_actions(book.sequences[true_idx], scheme,
-                               int(rng.integers(1 << 62)))
-    except EncoderFailure:
-        true_idx, a_seq = None, rng.choice(3, size=n)
-    prior = _rule_prior(idx, log_w, selection)
+    if idx.size == 0:
+        return  # the encoder fails, and a trial runs no decoder
+    true_idx = _select_codeword(idx, log_w, selection, int(rng.integers(1 << 62)))
+    a_seq = decode_actions(book.sequences[true_idx], scheme, int(rng.integers(1 << 62)))
+    prior = log_w
+    if selection == "first":
+        prior = np.full(book.count, -np.inf)
+        prior[true_idx] = 0.0
     pruned = ExactDecoderAdversary(tables, book.sequences, prior, True)
     full = KeepEveryCandidate(tables, book.sequences, prior, True)
     assert np.array_equal(pruned.kept, np.flatnonzero(np.isfinite(prior)))
@@ -496,7 +514,7 @@ def test_property_pruned_decoder_plays_as_the_full_posterior(seed, n, rate,
     want = _decoder_play(full, s_seq, a_seq, true_idx)
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
-    if selection == "first" and true_idx is not None:
+    if selection == "first":
         # the trial's lookup for an informed decoder facing "first"
         assert np.array_equal(got[0], tables.decoded_br[1, s_seq, book.sequences[true_idx]])
         assert np.all(got[1] == 1.0)
@@ -521,21 +539,63 @@ def test_pruned_decoder_breaks_exact_ties_as_the_full_posterior(monkeypatch,
     assert want[0][2] == 0.0  # the tie went to B's first action
 
 
-def test_decoder_without_candidates_plays_the_marginal(erasure_game, optimal_scheme):
-    """An all -inf prior leaves no candidate: B best-responds to the scheme
-    marginal in every state and never decodes."""
+class RecordingRng:
+    """A generator that keeps the result of every `choice` call."""
+
+    def __init__(self, rng):
+        self.rng, self.choices = rng, []
+
+    def choice(self, *args, **kwargs):
+        self.choices.append(self.rng.choice(*args, **kwargs))
+        return self.choices[-1]
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+@pytest.mark.parametrize("adversary", ["decoder", "decoder_with_state"])
+def test_failed_materialized_trial_plays_the_marginal(adversary, erasure_game,
+                                                      optimal_scheme):
+    """After an encoder failure on a materialized codebook, B best-responds
+    to the scheme marginal and never decodes, as on a virtual codebook.
+    The n = 10, rate 0.5 point fails in about three trials of four."""
     tables = _SchemeTables(erasure_game, optimal_scheme)
-    book = build_codebook(optimal_scheme, n=12, rate=0.8, seed=4)
-    prior = np.full(book.count, -np.inf)
-    adv = ExactDecoderAdversary(tables, book.sequences, prior, sees_state_seq=True)
-    assert adv.kept.size == 0 and adv.cands.shape == (0, 12)
+    config = MatchConfig(n=10, trials=40, epsilon=0.05, adversary=adversary,
+                         b_knows_state=adversary != "decoder", seed=0)
+    informed = adversary == "decoder_with_state"
+    failures = 0
+    for trial in range(config.trials):
+        rng = RecordingRng(simulator._trial_rng(config.seed, trial))
+        pay, decode, failed = simulator._run_trial(tables, config, 0.5, rng, adversary)
+        if not failed:
+            continue
+        failures += 1
+        s_seq, a_seq = rng.choices  # the states, then A's blind play
+        b_seq = tables.marginal_br[int(informed), s_seq]
+        assert np.array_equal(pay, erasure_game.payoff[a_seq, b_seq, s_seq]), trial
+        assert not decode.any()
+    assert failures >= 20
+
+
+def test_adversary_play_without_candidates_plays_the_marginal(erasure_game,
+                                                              optimal_scheme):
+    """With no typical codeword, or a history that rules out every
+    codeword, `adversary_play` best-responds to the scheme marginal."""
+    tables = _SchemeTables(erasure_game, optimal_scheme)
+    # a rate-0 codebook has one codeword, almost surely atypical
+    book = build_codebook(optimal_scheme, n=12, rate=0.0, seed=4)
     s_seq = np.random.default_rng(6).integers(0, 2, size=12)
-    b_seq, decode = _decoder_play(adv, s_seq, np.ones(12, dtype=int), 3)
-    marginal = payoff_against_pure(tables.joint_sa, erasure_game.payoff,
-                                   b_sees_state=True).argmin(axis=-1)[s_seq]
-    assert np.array_equal(b_seq, marginal)
-    assert not decode.any()
-    assert not adv.decoded_true(0) and not adv.decoded_true(None)
+    assert _typical_codewords(book.sequences, s_seq, optimal_scheme, 0.01)[0].size == 0
+    for t in range(12):
+        b = adversary_play("decoder_with_state", s_seq[:t], np.ones(t, dtype=int), book,
+                           optimal_scheme, erasure_game, t, state_seq=s_seq,
+                           epsilon=0.01)
+        assert b == tables.marginal_br[1, s_seq[t]], t
+    # A's first action is impossible under the one codeword's first symbol
+    u_0 = book.sequences[0, 0]
+    impossible = int(np.flatnonzero(optimal_scheme.p_a_given_u.rows[u_0] == 0)[0])
+    assert adversary_play("decoder", s_seq[:1], [impossible], book, optimal_scheme,
+                          erasure_game, 1) == tables.marginal_br[0, 0]
 
 
 def test_uninformed_decoder_keeps_every_candidate(erasure_game, optimal_scheme):
