@@ -13,12 +13,14 @@ process on the same cases:
 - the grid: the erasure game of tests/conftest.py with its optimal scheme,
   adversary `decoder`, `decoder_with_state` or `oblivious` (B informed
   unless the adversary is `decoder`), selection `tilted` or `first`,
-  match seeds 0 and 1, 40 trials, at five operating points
+  match seeds 0 and 1, 40 trials, at six operating points
   (`GRID_POINTS`): two materialized codebooks (n = 16 and an n = 10 point
   where some trials fail to encode), the virtual criterion-7 point, a
   virtual n = 100 point whose trials do not fill the saddlepoint batches
-  evenly, and a virtual n = 40 point whose informed decoder enumerates the
-  typical set (60 cases);
+  evenly, a virtual n = 40 point whose informed decoder enumerates the
+  typical set, and a virtual n = 2000 point, past n = 1000, where a box
+  bound with a fixed 1e-9 slack on (p -+ epsilon) n can disagree with the
+  typicality test (72 cases);
 - the same adversaries, selections and seeds on a random game with 3
   states and 3 actions per player and a random scheme with 3 symbols
   (`conftest.random_game`, then `conftest.random_scheme`, from
@@ -66,6 +68,7 @@ GRID_POINTS = (  # (name, n, rate, epsilon)
     ("virtual-128", 128, 0.655639, 0.05),
     ("virtual-100", 100, 0.7, 0.05),
     ("virtual-40", 40, 0.6, 0.05),
+    ("virtual-2000", 2000, 0.655639, 0.05),
 )
 RANDOM_SEED = 0
 RANDOM_POINTS = (  # (name, n, rate, epsilon, codebook cap or None)

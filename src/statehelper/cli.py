@@ -131,12 +131,23 @@ def cmd_bound(args) -> int:
     if args.rate < 0:
         raise GameFileError("--rate must be nonnegative")
     if args.optimize:
-        search = BoundSearch(seed=args.seed)
         scheme, point = optimize_bound(game, args.rate, args.b_knows_state,
-                                       args.card_u, search)
-        print(f"payoff: {_fmt(point.payoff)}")
-        print(f"alpha: {_fmt(point.alpha)}")
-        _print_stats(scheme_statistics(game, scheme))
+                                       args.card_u, BoundSearch(seed=args.seed))
+    else:
+        scheme = load_scheme(args.scheme)
+        if isinstance(scheme, LayeredScheme):
+            result = layered_payoff(game, scheme, args.rate, args.b_knows_state)
+            print(f"payoff: {_fmt(result.payoff)}")
+            print(f"alpha1: {_fmt(result.alpha1)}")
+            print(f"alpha2: {_fmt(result.alpha2)}")
+            if result.no_benefit:
+                print("note: layering gives no benefit at this rate")
+            return EXIT_OK
+        point = theorem1_payoff(game, scheme, args.rate, args.b_knows_state)
+    print(f"payoff: {_fmt(point.payoff)}")
+    print(f"alpha: {_fmt(point.alpha)}")
+    _print_stats(scheme_statistics(game, scheme))
+    if args.optimize:
         text = serialize_scheme(scheme)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -144,20 +155,6 @@ def cmd_bound(args) -> int:
         else:
             print("best scheme:")
             print(text, end="")
-        return EXIT_OK
-    scheme = load_scheme(args.scheme)
-    if isinstance(scheme, LayeredScheme):
-        result = layered_payoff(game, scheme, args.rate, args.b_knows_state)
-        print(f"payoff: {_fmt(result.payoff)}")
-        print(f"alpha1: {_fmt(result.alpha1)}")
-        print(f"alpha2: {_fmt(result.alpha2)}")
-        if result.no_benefit:
-            print("note: layering gives no benefit at this rate")
-        return EXIT_OK
-    point = theorem1_payoff(game, scheme, args.rate, args.b_knows_state)
-    print(f"payoff: {_fmt(point.payoff)}")
-    print(f"alpha: {_fmt(point.alpha)}")
-    _print_stats(scheme_statistics(game, scheme))
     return EXIT_OK
 
 
@@ -169,8 +166,8 @@ def _parse_rates(spec: str):
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise GameFileError(f"--rates {spec!r} has non-numeric fields")
-    if step <= 0:
-        raise GameFileError("--rates step must be positive")
+    if not (np.isfinite([start, stop, step]).all() and step > 0):
+        raise GameFileError(f"--rates {spec!r} needs finite fields and a positive step")
     count = int(np.floor((stop - start) / step + 1e-9)) + 1
     return [start + i * step for i in range(max(count, 0)) if start + i * step >= 0]
 

@@ -235,6 +235,11 @@ def _covering_gap(rate, i_cover):
     return _nonneg(i_cover - rate)
 
 
+def _require_rate(rate):
+    if np.isnan(rate).any():  # NaN would pass every comparison with a threshold
+        raise ContractViolationError("rate must not be NaN")
+
+
 def _require_covering(rate: float, i_cover: float, what: str = "I(U;S)"):
     if _covering_gap(rate, i_cover) > RATE_TOL:
         raise InfeasibleRateError(
@@ -277,6 +282,7 @@ def theorem1_payoff(game: Game, scheme: Scheme, rate: float,
     opponent knows the codeword.  Whether or not B knows the state, the
     encoder needs rate >= I(U;S) to find a typical codeword at all.
     """
+    _require_rate(rate)
     stats = scheme_statistics(game, scheme)
     _require_covering(rate, stats.i_us)
     alpha, payoff = _bound_payoff(stats, rate, b_knows_state)
@@ -473,6 +479,7 @@ def optimize_bound(game: Game, rate, b_knows_state: bool, card_u: int,
         raise ContractViolationError("card_u must be >= 1")
     ns, na = game.n_states, game.n_actions_a
     rates = np.atleast_1d(np.asarray(rate, dtype=float))
+    _require_rate(rates)
     rng = np.random.default_rng(search.seed)
     starts = np.array([
         np.concatenate([np.log(np.clip(pu0, 1e-9, None)).ravel(),
@@ -529,6 +536,7 @@ def layered_payoff(game: Game, lscheme: LayeredScheme, rate: float,
     ignorant-B scheme whose second layer would be decoded before its first
     reports no_benefit and claims no payoff.
     """
+    _require_rate(rate)
     if lscheme.p_u1_given_s.from_size != game.n_states:
         raise ContractViolationError("layered scheme state cardinality does not match game")
     if lscheme.p_a_given_u1_u2.to_size != game.n_actions_a:

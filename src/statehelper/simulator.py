@@ -20,7 +20,6 @@ them outweighs the true codeword.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -82,8 +81,8 @@ def build_codebook(scheme: Scheme, n: int, rate: float, seed: int,
     uniforms and the inverse cdf of `Generator.choice(card_u, size=(count,
     n), p=p_U)`, so the codebook is that call's, symbol for symbol.
     """
-    if n < 1 or rate < 0:
-        raise ContractViolationError("need n >= 1 and rate >= 0")
+    if n < 1 or not 0 <= rate < np.inf:
+        raise ContractViolationError("need n >= 1 and a finite rate >= 0")
     count = codeword_count(n, rate)
     if count * n > cap:
         raise CapacityError(
@@ -119,15 +118,26 @@ def _typical_cells(counts, n, target, epsilon):
             & ((counts == 0) | (target > 0)))
 
 
+def _count_intervals(n_s, n, target, epsilon):
+    """Each cell's counts in 0..n_s that pass `_typical_cells`: lo <= k <= hi.
+
+    `target` is one state's column of the joint target.  Float division and
+    subtraction are monotone, so each passing set is an interval (empty when
+    lo > hi).  The one place the typicality rule meets counts.
+    """
+    passing = _typical_cells(np.arange(n_s + 1)[:, None], n, target, epsilon)
+    lo = np.where(passing.any(axis=0), passing.argmax(axis=0), n_s + 1)
+    return lo, n_s - passing[::-1].argmax(axis=0)
+
+
 def _typical_set(sequences, state_seq, target_joint, epsilon):
     """Joint (u, s) types of sequences against one state sequence, and typicality.
 
     The typical-set kernel.  Each state's positions form one column block,
     and a cell's counts are the matches of u in that block, per row.  A
-    count of cell (u, s) is an integer in 0..n_s, so `_typical_cells` is
-    evaluated once on each of those integers and looked up per row: the
-    same float test on the same numbers.  Returns counts of shape
-    (rows, |U|, |S|) and the mask of rows whose every cell passes.
+    count of cell (u, s) passes when it lies in the cell's interval of
+    `_count_intervals`.  Returns counts of shape (rows, |U|, |S|) and the
+    mask of rows whose every cell passes.
     """
     seqs = np.atleast_2d(np.asarray(sequences))
     state_seq = np.asarray(state_seq)
@@ -138,13 +148,12 @@ def _typical_set(sequences, state_seq, target_joint, epsilon):
     for s in range(ns):
         block = seqs[:, state_seq == s]
         n_s = block.shape[1]
-        values = np.arange(n_s + 1)
+        lo, hi = _count_intervals(n_s, n, target_joint[:, s], epsilon)
         # the narrowest unsigned type holding n_s sums fastest, never wraps
         acc = np.min_scalar_type(n_s)
         for u in range(card_u):
             counts[u, s] = (block == u).sum(axis=1, dtype=acc)
-            typical &= _typical_cells(values, n, target_joint[u, s],
-                                      epsilon)[counts[u, s]]
+            typical &= (lo[u] <= counts[u, s]) & (counts[u, s] <= hi[u])
     return counts.transpose(2, 0, 1), typical
 
 
@@ -238,17 +247,15 @@ def decode_actions(codeword, scheme: Scheme, seed: int):
 
 
 def _box_vectors(n_s, n, p_col, epsilon):
-    """All count vectors c (sum n_s) whose cells pass `_typical_cells`."""
-    card = p_col.size
-    lo = np.maximum(np.ceil((p_col - epsilon) * n - 1e-9).astype(int), 0)
-    hi = np.minimum(np.floor((p_col + epsilon) * n + 1e-9).astype(int), n_s)
-    hi[p_col <= 0] = 0
+    """All count vectors c (sum n_s) whose cells pass `_typical_cells`, in
+    lexicographic order."""
+    lo, hi = _count_intervals(n_s, n, p_col, epsilon)
     span = np.maximum(hi[:-1] - lo[:-1] + 1, 0)
     # every head in lexicographic order, the last cell varying fastest
-    heads = lo[:-1] + np.indices(span).reshape(card - 1, int(np.prod(span))).T
-    vecs = np.column_stack([heads, n_s - heads.sum(axis=1)])
-    inside = (lo <= vecs) & (vecs <= hi) & _typical_cells(vecs, n, p_col, epsilon)
-    return vecs[inside.all(axis=1)]
+    heads = lo[:-1] + np.indices(span).reshape(p_col.size - 1, int(np.prod(span))).T
+    last = n_s - heads.sum(axis=1)
+    keep = (lo[-1] <= last) & (last <= hi[-1])
+    return np.column_stack([heads[keep], last[keep]])
 
 
 def _log_factorials(n):
@@ -272,8 +279,15 @@ def _log_multinomial_pmf(vectors, n_s, p):
     return ll
 
 
-def _state_boxes(state_counts, target_joint, epsilon, symbol_dist_per_state):
-    """Each state's typicality box under i.i.d. per-state symbol laws.
+def _state_boxes(state_counts, target_joint, epsilon):
+    """Each state's typicality box: its `_box_vectors` at the state's count."""
+    n = int(state_counts.sum())
+    return [_box_vectors(int(n_s), n, target_joint[:, s], epsilon)
+            for s, n_s in enumerate(state_counts)]
+
+
+def _box_law(vectors, state_counts, symbol_dist_per_state):
+    """The per-state boxes `vectors` under i.i.d. per-state symbol laws.
 
     Symbols in the positions of state s are i.i.d. symbol_dist_per_state[s],
     so the per-state count vectors are independent multinomials restricted
@@ -282,14 +296,10 @@ def _state_boxes(state_counts, target_joint, epsilon, symbol_dist_per_state):
     lands in its box).  Boxes are None when some box is empty or has zero
     mass under its law.
     """
-    n = int(state_counts.sum())
     boxes, total = [], 0.0
-    for s, n_s in enumerate(state_counts):
-        vecs = _box_vectors(int(n_s), n, target_joint[:, s], epsilon)
-        if vecs.shape[0] == 0:
-            return None, _NEG_INF
-        ll = _log_multinomial_pmf(vecs, int(n_s), symbol_dist_per_state[s])
-        m = ll.max()
+    for vecs, n_s, law in zip(vectors, state_counts, symbol_dist_per_state):
+        ll = _log_multinomial_pmf(vecs, int(n_s), law)
+        m = ll.max(initial=_NEG_INF)  # -inf for an empty box too
         if not np.isfinite(m):
             return None, _NEG_INF
         w = np.exp(ll - m)
@@ -304,13 +314,14 @@ def typicality_log_prob(state_counts, target_joint, epsilon, p_u):
     Exact: the sum over every state's box of multinomial probabilities.
     """
     laws = np.tile(p_u, (len(state_counts), 1))
-    return _state_boxes(state_counts, target_joint, epsilon, laws)[1]
+    return _box_law(_state_boxes(state_counts, target_joint, epsilon),
+                    state_counts, laws)[1]
 
 
 def _sample_box_codeword(rng, state_seq, boxes):
     """Sample a codeword from i.i.d. per-state symbol laws conditioned on the box.
 
-    `boxes` comes from `_state_boxes`: a box vector is drawn per state and
+    `boxes` comes from `_box_law`: a box vector is drawn per state and
     its symbols are shuffled into that state's positions.  Returns None when
     the boxes are None (some box is empty or has zero mass under its law).
     """
@@ -537,7 +548,7 @@ class MatchConfig:
     selection: str = "tilted"
 
     def __post_init__(self):
-        if self.n < 1 or self.trials < 1 or self.epsilon <= 0:
+        if self.n < 1 or self.trials < 1 or not self.epsilon > 0:  # NaN fails too
             raise ContractViolationError("need n >= 1, trials >= 1, epsilon > 0")
         if self.adversary not in ADVERSARIES:
             raise ContractViolationError(f"unknown adversary {self.adversary!r}")
@@ -552,13 +563,10 @@ class MatchResult:
     encoder_failure_rate: float
     mean_payoff: float
 
-    def to_csv(self, stream=None) -> str:
-        buf = stream or io.StringIO()
-        buf.write("k,mean_payoff_at_k,decode_success_at_k\n")
-        for k, (p, d) in enumerate(zip(self.per_iteration_payoff,
-                                       self.decode_success), start=1):
-            buf.write(f"{k},{p:.17g},{d:.17g}\n")
-        return buf.getvalue() if stream is None else ""
+    def to_csv(self) -> str:
+        rows = zip(self.per_iteration_payoff, self.decode_success)
+        return "k,mean_payoff_at_k,decode_success_at_k\n" + "".join(
+            f"{k},{p:.17g},{d:.17g}\n" for k, (p, d) in enumerate(rows, start=1))
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +605,6 @@ class _SchemeTables:
                             .argmin(axis=-1), (ns, nu)),
             payoff_against_pure(seen_sa, game.payoff, True).argmin(axis=-1).T])
         self._tails = {}
-        self._log_typical = {}
         self._boxes = {}
 
     def competitor_tail(self, informed):
@@ -616,29 +623,18 @@ class _SchemeTables:
                 cells, np.log(np.maximum(self.p_u, 1e-300)))
         return self._tails[informed]
 
-    def log_typical(self, state_counts, epsilon):
-        """`typicality_log_prob` of p_U codewords at the empirical state type.
-
-        Memoized by the state counts: a match sees few distinct ones.
-        """
+    def typical_boxes(self, state_counts, epsilon):
+        """(ln P(a p_U codeword is typical), `_box_law`'s boxes under p_U, and
+        under p(u|s)) at the empirical state type, each state's box enumerated
+        once.  Memoized by the state counts: a match sees few distinct ones."""
         key = (tuple(state_counts), epsilon)
-        if key not in self._log_typical:
-            target = _target_joint_us(state_counts / state_counts.sum(), self.scheme)
-            self._log_typical[key] = typicality_log_prob(state_counts, target,
-                                                         epsilon, self.p_u)
-        return self._log_typical[key]
-
-    def sampling_boxes(self, state_counts, epsilon, tilted):
-        """`_state_boxes` at the empirical state type, memoized by state counts.
-
-        The per-state symbol laws are p(u|s) when `tilted`, else p_U.
-        """
-        key = (tuple(state_counts), epsilon, tilted)
         if key not in self._boxes:
             target = _target_joint_us(state_counts / state_counts.sum(), self.scheme)
-            laws = (self.scheme.p_u_given_s.rows if tilted
-                    else np.tile(self.p_u, (self.prior.size, 1)))
-            self._boxes[key] = _state_boxes(state_counts, target, epsilon, laws)[0]
+            vectors = _state_boxes(state_counts, target, epsilon)
+            plain, log_mass = _box_law(vectors, state_counts,
+                                       np.tile(self.p_u, (self.prior.size, 1)))
+            tilted = _box_law(vectors, state_counts, self.scheme.p_u_given_s.rows)[0]
+            self._boxes[key] = log_mass, plain, tilted
         return self._boxes[key]
 
     @cached_property
@@ -686,18 +682,16 @@ def _box_source(tables, cfg, log_n_codewords, rng, s_seq, informed):
     typical.
     """
     state_counts = np.bincount(s_seq, minlength=tables.prior.size)
-    log_ptyp = tables.log_typical(state_counts, cfg.epsilon)
-    lam = (np.exp(min(log_n_codewords + log_ptyp, 700)) if np.isfinite(log_ptyp)
-           else 0.0)
+    log_ptyp, plain, tilted = tables.typical_boxes(state_counts, cfg.epsilon)
+    lam = np.exp(min(log_n_codewords + log_ptyp, 700))  # 0 when nothing is typical
     m = int(rng.poisson(min(lam, 1e9)))
-    enumerate_members = (informed and cfg.selection == "tilted"
-                         and m <= BOX_MATERIALIZE_CAP)
-    tilted = cfg.selection == "tilted" and not enumerate_members
-    boxes = tables.sampling_boxes(state_counts, cfg.epsilon, tilted) if m else None
-    if boxes is not None and enumerate_members:
-        return np.stack([_sample_box_codeword(rng, s_seq, boxes)
-                         for _ in range(m)]), None
-    return None, _sample_box_codeword(rng, s_seq, boxes)
+    if m == 0:
+        return None, None
+    if informed and cfg.selection == "tilted" and m <= BOX_MATERIALIZE_CAP:
+        return np.stack([_sample_box_codeword(rng, s_seq, plain) for _ in range(m)]), None
+    # the tilted rule's one codeword is a p(u|s) draw given the box
+    return None, _sample_box_codeword(rng, s_seq,
+                                      tilted if cfg.selection == "tilted" else plain)
 
 
 def _run_trial(tables, cfg, rate, rng, adversary):
@@ -854,15 +848,13 @@ def adversary_play(model: str, past_states, past_actions, codebook: Codebook,
     if selection not in SELECTIONS:
         raise ContractViolationError(f"unknown selection rule {selection!r}")
     tables = _SchemeTables(game, scheme)
+    s_t = int(state_seq[iteration]) if state_seq is not None else 0
     if model == "oblivious":
-        sees_state = state_seq is not None
-        s_t = int(state_seq[iteration]) if sees_state else 0
-        return int(_oblivious_play(tables.oblivious_mixes(sees_state),
+        return int(_oblivious_play(tables.oblivious_mixes(state_seq is not None),
                                    np.random.default_rng(seed), [s_t])[0])
     informed = model == "decoder_with_state"
     if informed and state_seq is None:
         raise ContractViolationError("decoder_with_state needs the full state sequence")
-    s_t = int(state_seq[iteration]) if state_seq is not None else 0
     prior_logw = np.zeros(codebook.count)
     if informed:
         idx, prior_logw = _typical_codewords(codebook.sequences, np.asarray(state_seq),
@@ -880,6 +872,8 @@ def adversary_play(model: str, past_states, past_actions, codebook: Codebook,
 def run_match(game: Game, scheme: Scheme, rate: float, config: MatchConfig
               ) -> MatchResult:
     """Simulate independent blocks of the coded game and aggregate statistics."""
+    if not 0 <= rate < np.inf:
+        raise ContractViolationError(f"need a finite rate >= 0, got {rate}")
     if scheme.p_u_given_s.from_size != game.n_states or \
             scheme.p_a_given_u.to_size != game.n_actions_a:
         raise ContractViolationError("scheme dimensions do not match game")

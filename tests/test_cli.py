@@ -205,6 +205,27 @@ def test_sweep_bad_rates_spec(erasure_file, scheme_file, capsys):
                  "--scheme", scheme_file]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "{game}", "{scheme}", "--rate", "0.7", "--n", "8", "--trials", "1",
+     "--epsilon", "nan"],
+    ["simulate", "{game}", "{scheme}", "--rate", "nan", "--n", "8", "--trials", "1"],
+    ["simulate", "{game}", "{scheme}", "--rate", "inf", "--n", "8", "--trials", "1"],
+    ["sweep", "{game}", "--scheme", "{scheme}", "--rates", "0.7:nan:0.1"],
+    ["sweep", "{game}", "--scheme", "{scheme}", "--rates", "0.7:inf:0.1"],
+    ["bound", "{game}", "--scheme", "{scheme}", "--rate", "nan", "--b-knows-state"],
+    ["bound", "{game}", "--optimize", "--rate", "nan"],
+])
+def test_non_finite_rates_and_epsilons_are_refused(argv, erasure_file, scheme_file,
+                                                   capsys):
+    """A NaN or infinite rate, or a NaN epsilon, is an input error: exit 2
+    with an `error:` line and nothing on stdout."""
+    argv = [arg.format(game=erasure_file, scheme=scheme_file) for arg in argv]
+    assert main(argv) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
+
+
 def test_simulate_csv_deterministic(erasure_file, scheme_file, capsys):
     argv = ["simulate", erasure_file, scheme_file, "--rate", "0.7",
             "--n", "12", "--trials", "3", "--seed", "5"]

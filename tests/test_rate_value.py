@@ -28,7 +28,9 @@ from statehelper import (
     layered_payoff,
     mutual_information,
     optimize_bound,
+    parse_game,
     scheme_statistics,
+    serialize_game,
     theorem1_payoff,
     threshold_alpha,
 )
@@ -420,6 +422,31 @@ def test_property_kernel_matches_reference(pair):
     stats, ref = scheme_statistics(game, scheme), _reference_stats(game, scheme)
     for name in STATS_FIELDS:
         assert _close(getattr(stats, name), getattr(ref, name)), name
+
+
+@st.composite
+def forbidden_games_and_schemes(draw):
+    """games_and_schemes with its forbidden cells, and one more cell, given
+    as -inf, under the default neg_inf_value or a drawn one."""
+    game, scheme = draw(games_and_schemes())
+    payoff = np.where(game.payoff == FORBIDDEN, -np.inf, game.payoff)
+    payoff.flat[draw(st.integers(0, payoff.size - 1))] = -np.inf
+    custom = draw(st.one_of(st.none(), st.floats(-1e9, -3.0)))
+    return Game(game.states, game.prior, game.actions_a, game.actions_b, payoff,
+                **({} if custom is None else {"neg_inf_value": custom})), scheme
+
+
+@SETTINGS
+@given(forbidden_games_and_schemes())
+def test_property_statistics_survive_the_game_round_trip(pair):
+    """serialize_game -> parse_game keeps every -inf cell, so the statistics
+    kernel gives the same bits in every field."""
+    game, scheme = pair
+    again = parse_game(serialize_game(game))
+    before, after = scheme_statistics(game, scheme), scheme_statistics(again, scheme)
+    for name in STATS_FIELDS:
+        assert (np.float64(getattr(after, name)).tobytes()
+                == np.float64(getattr(before, name)).tobytes()), name
 
 
 def _attains_minimum(best, terms):

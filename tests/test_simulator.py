@@ -240,6 +240,14 @@ def test_match_config_validation():
         MatchConfig(n=0, trials=1)
     with pytest.raises(ContractViolationError):
         MatchConfig(n=8, trials=1, adversary="psychic")
+    with pytest.raises(ContractViolationError):
+        MatchConfig(n=8, trials=1, epsilon=float("nan"))
+    for rate in (float("nan"), float("inf"), -0.1):
+        with pytest.raises(ContractViolationError):
+            build_codebook(make_optimal_erasure_scheme(), n=8, rate=rate, seed=0)
+        with pytest.raises(ContractViolationError):
+            run_match(make_erasure_game(), make_optimal_erasure_scheme(), rate,
+                      MatchConfig(n=8, trials=1))
 
 
 def test_encoded_actions_match_scheme_conditionals(erasure_game, optimal_scheme):
@@ -306,6 +314,27 @@ def test_exact_and_virtual_paths_agree(erasure_game, optimal_scheme):
     assert virtual.encoder_failure_rate <= 0.05
     assert abs(exact.mean_payoff - virtual.mean_payoff) <= 0.15
     assert abs(exact.decode_success.mean() - virtual.decode_success.mean()) <= 0.15
+
+
+def test_virtual_match_enumerates_each_box_once(monkeypatch, erasure_game,
+                                                optimal_scheme):
+    """One `_box_vectors` call per distinct state type and state: the
+    criterion-7 point at seed 1 meets 26 state types of its 2 states."""
+    calls = []
+    box_vectors = simulator._box_vectors
+
+    def counting(*args):
+        calls.append(args)
+        return box_vectors(*args)
+
+    monkeypatch.setattr(simulator, "_box_vectors", counting)
+    run_match(erasure_game, optimal_scheme, 0.655639,
+              MatchConfig(n=128, trials=200, seed=1))
+    # a trial's first draw is its state sequence
+    state_types = {tuple(np.bincount(simulator._trial_rng(1, trial).choice(
+        2, size=128, p=erasure_game.prior), minlength=2)) for trial in range(200)}
+    assert len(state_types) == 26
+    assert len(calls) == 2 * len(state_types) == 52
 
 
 def test_adversary_play_wrapper(erasure_game, optimal_scheme):

@@ -1,13 +1,16 @@
 """Property tests of the simulator's typical-set kernel and box sampling."""
 
 import itertools
+import math
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from statehelper.simulator import (
+    _box_law,
     _box_vectors,
+    _count_intervals,
     _sample_box_codeword,
     _state_boxes,
     _typical_cells,
@@ -92,6 +95,39 @@ def test_box_vectors_match_enumeration(n, data, weights, epsilon):
 
 
 @SETTINGS
+@given(st.integers(1, 20000), st.data(), st.integers(1, 4), st.floats(0.001, 0.6),
+       st.integers(0, 2**32 - 1))
+def test_count_intervals_are_the_cell_test(n, data, card, epsilon, seed):
+    """Each cell passes `_typical_cells` exactly on its interval of counts
+    0..n_s, for a state's column p(u|s) n_s / n of the joint target."""
+    n_s = data.draw(st.integers(0, n))
+    p_col = np.random.default_rng(seed).dirichlet(np.ones(card)) * n_s / n
+    p_col[data.draw(st.lists(st.booleans(), min_size=card, max_size=card))] = 0.0
+    values = np.arange(n_s + 1)[:, None]
+    lo, hi = _count_intervals(n_s, n, p_col, epsilon)
+    assert np.array_equal((lo <= values) & (values <= hi),
+                          _typical_cells(values, n, p_col, epsilon))
+
+
+def test_box_holds_every_type_the_kernel_calls_typical():
+    """At n = 16371 a bounds formula with a 1e-9 slack on (p - epsilon) n
+    started this box at [9076, 7295], though the kernel calls a sequence
+    of type [9075, 7296] typical.  The box and the log mass are the cell
+    test's."""
+    n, p = 16371, 0.6293338830867863
+    p_col, epsilon = np.array([p, 1.0 - p]), 0.075
+    seq = np.repeat([0, 1], [9075, 7296])
+    assert _typical_set(seq, np.zeros(n, dtype=int), p_col[:, None], epsilon)[1][0]
+    box = _box_vectors(n, n, p_col, epsilon)
+    assert [9075, 7296] in box.tolist()
+    ll = np.array([math.lgamma(n + 1.0) - math.lgamma(k + 1.0) - math.lgamma(n - k + 1.0)
+                   + k * math.log(p) + (n - k) * math.log(1.0 - p) for k in box[:, 0]])
+    want = ll.max() + math.log(np.exp(ll - ll.max()).sum())
+    got = typicality_log_prob(np.array([n]), p_col[:, None], epsilon, p_col)
+    assert abs(got - want) <= 1e-9
+
+
+@SETTINGS
 @given(blocks(max_n=12), st.floats(0.01, 0.3), st.floats(0.01, 1.0),
        st.integers(0, 2**32 - 1))
 def test_empty_box_is_impossible(block, epsilon, excess, seed):
@@ -105,7 +141,8 @@ def test_empty_box_is_impossible(block, epsilon, excess, seed):
     target[:, s0] = _pmf(np.ones(card_u)) * (
         state_counts[s0] / len(s_seq) + card_u * epsilon + excess)
     assert typicality_log_prob(state_counts, target, epsilon, p_u) == -np.inf
-    boxes, log_mass = _state_boxes(state_counts, target, epsilon, p_u_given_s)
+    boxes, log_mass = _box_law(_state_boxes(state_counts, target, epsilon),
+                               state_counts, p_u_given_s)
     assert log_mass == -np.inf
     assert _sample_box_codeword(np.random.default_rng(seed), s_seq, boxes) is None
 
@@ -117,8 +154,9 @@ def test_box_members_pass_the_kernel(block, epsilon, tilted, seed):
     s_seq, target, p_u_given_s, p_u = block
     ns = target.shape[1]
     laws = p_u_given_s if tilted else np.tile(p_u, (ns, 1))
-    boxes, _ = _state_boxes(np.bincount(s_seq, minlength=ns), target, epsilon,
-                            laws)
+    state_counts = np.bincount(s_seq, minlength=ns)
+    boxes, _ = _box_law(_state_boxes(state_counts, target, epsilon), state_counts,
+                        laws)
     codeword = _sample_box_codeword(np.random.default_rng(seed), s_seq, boxes)
     if codeword is not None:
         assert _typical_set(codeword, s_seq, target, epsilon)[1][0]
