@@ -428,11 +428,18 @@ def payoff_against_pure(mass, payoff, b_sees_state):
     observes besides the state; payoff is indexed [a, b, s].  Returns
     w[..., s, b] if B sees the state, else w[..., b]: each state is
     contracted over a first, and the states are summed after.  B's minimum
-    in a cell is w.min(axis=-1), its best response w.argmin(axis=-1), ties
-    going to the lowest index.
+    in a cell is w.min(axis=-1); its best response is `best_response`.
     """
     w = np.einsum("...sa,abs->...sb", mass, payoff)
     return w if b_sees_state else w.sum(axis=-2)
+
+
+def best_response(mass, payoff, b_sees_state):
+    """B's best response per cell of `payoff_against_pure`: the lowest index within a
+    rounding bound (a few eps of the same contraction on |mass| and |payoff|) of the min."""
+    w = payoff_against_pure(mass, payoff, b_sees_state)
+    bound = 4 * _ROUNDING * payoff_against_pure(np.abs(mass), np.abs(payoff), b_sees_state)
+    return (w - bound <= (w + bound).min(axis=-1, keepdims=True)).argmax(axis=-1)
 
 
 def min_payoff_given_observation(joint, payoff, a_axis, s_axis, observed_axes):

@@ -16,9 +16,9 @@ from .errors import ContractViolationError, InfeasibleRateError
 from .game_core import (
     ConditionalDistribution,
     Game,
-    optimal_state_strategy,
+    SignalFunction,
+    game_value,
     payoff_against_pure,
-    solve_matrix_game,
     validate_prob_vector,
 )
 from .info_measures import (
@@ -332,12 +332,13 @@ def _penalized_payoff(stats, rate, b_knows_state):
     return p - INFEASIBILITY_PENALTY * _covering_gap(rate, stats.i_us)
 
 
-def _optimizer_seeds(game: Game, card_u, rng, restarts):
+def _optimizer_seeds(game: Game, card_u, rng, restarts, b_knows_state):
     """Start schemes (p(U|S), p(A|U)) of the bound search.
 
-    The starts depend only on the game, card_u, the generator's state and
-    restarts, not on the rate, which is why one search can run every rate of
-    a sweep from the same starts.
+    A's structured starts are its LP strategies against B's information f_B
+    (identity or constant map): blind for V0 at rate 0, informed for V_inf.
+    No start depends on the rate, which is why one search can run every rate
+    of a sweep from the same starts.
     """
     ns, na = game.n_states, game.n_actions_a
     seeds = []
@@ -347,16 +348,15 @@ def _optimizer_seeds(game: Game, card_u, rng, restarts):
         out[:, :rows.shape[1]] += rows
         return out / out.sum(axis=1, keepdims=True)
 
-    avg = solve_matrix_game(game.averaged_matrix())
-    no_info_mix = avg.strategy_a.rows[0]
-    per_state = optimal_state_strategy(game)
-    # U constant, A plays the averaged-game minimax mix
-    seeds.append((pad_cols(np.ones((ns, 1)), card_u),
-                  _pad_rows(no_info_mix[None, :], card_u)))
-    if card_u >= ns:  # U = S, A plays the per-state optimal mixes
-        seeds.append((pad_cols(np.eye(ns), card_u), _pad_rows(per_state, card_u)))
-    if card_u >= na:  # U = the optimal action channel, A repeats U
-        seeds.append((pad_cols(per_state, card_u), _pad_rows(np.eye(na), card_u)))
+    f_b = (SignalFunction.identity if b_knows_state else SignalFunction.constant)(ns)
+    blind = game_value(game, SignalFunction.constant(ns), f_b).strategy_a.rows
+    informed = game_value(game, SignalFunction.identity(ns), f_b).strategy_a.rows
+    # U constant, A plays its blind strategy
+    seeds.append((pad_cols(np.ones((ns, 1)), card_u), _pad_rows(blind, card_u)))
+    if card_u >= ns:  # U = S, A plays its informed strategy
+        seeds.append((pad_cols(np.eye(ns), card_u), _pad_rows(informed, card_u)))
+    if card_u >= na:  # U = A's informed action, A repeats U
+        seeds.append((pad_cols(informed, card_u), _pad_rows(np.eye(na), card_u)))
     target = max(restarts, len(seeds))
     while len(seeds) < target:
         seeds.append((rng.dirichlet(np.ones(card_u), size=ns),
@@ -484,7 +484,8 @@ def optimize_bound(game: Game, rate, b_knows_state: bool, card_u: int,
     starts = np.array([
         np.concatenate([np.log(np.clip(pu0, 1e-9, None)).ravel(),
                         np.log(np.clip(pa0, 1e-9, None)).ravel()])
-        for pu0, pa0 in _optimizer_seeds(game, card_u, rng, search.restarts)])
+        for pu0, pa0 in _optimizer_seeds(game, card_u, rng, search.restarts,
+                                         b_knows_state)])
     n_starts = len(starts)
     row_rates = np.repeat(rates, n_starts)  # row i: rate i // n_starts
 

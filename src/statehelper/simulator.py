@@ -30,8 +30,8 @@ from .errors import CapacityError, ContractViolationError, InfeasibleRateError
 from .game_core import (
     ConditionalDistribution,
     Game,
+    best_response,
     optimal_state_strategy,
-    payoff_against_pure,
     solve_matrix_game,
     validate_prob_vector,
 )
@@ -60,6 +60,7 @@ class Codebook:
     rate: float
     sequences: np.ndarray  # (count, n) symbol indices
     seed: int
+    p_u: np.ndarray  # the law every symbol was drawn from
 
     @property
     def count(self):
@@ -104,7 +105,7 @@ def build_codebook(scheme: Scheme, n: int, rate: float, seed: int,
     seqs = np.zeros((count, n), dtype=np.int16)
     for edge in cdf[:-1]:  # u < 1 = cdf[-1], so the last edge counts nothing
         seqs += u >= edge
-    return Codebook(n=n, rate=float(rate), sequences=seqs, seed=seed)
+    return Codebook(n=n, rate=float(rate), sequences=seqs, seed=seed, p_u=p_u)
 
 
 def _typical_cells(counts, n, target, epsilon):
@@ -177,11 +178,11 @@ def _target_joint_us(state_type, scheme):
     return (scheme.p_u_given_s.rows * np.asarray(state_type)[:, None]).T
 
 
-def _typical_codewords(sequences, state_seq, scheme, epsilon):
+def _typical_codewords(sequences, state_seq, scheme, p_u, epsilon):
     """Indices of the typical codewords and every codeword's log tilt weight.
 
-    Typicality and tilt are taken at the empirical state type; the weight is
-    -inf off the typical set.
+    Typicality is taken at the empirical state type, the tilt against p_u, the
+    codewords' law; the weight is -inf off the typical set.
     """
     ns = scheme.p_u_given_s.from_size
     emp = np.bincount(state_seq, minlength=ns) / len(state_seq)
@@ -189,7 +190,7 @@ def _typical_codewords(sequences, state_seq, scheme, epsilon):
                               _target_joint_us(emp, scheme), epsilon)
     idx = np.flatnonzero(typical)
     log_w = np.full(len(typical), _NEG_INF)
-    log_w[idx] = _log_tilt_table(emp, scheme)[sequences[idx], state_seq].sum(axis=1)
+    log_w[idx] = _log_tilt_table(p_u, scheme)[sequences[idx], state_seq].sum(axis=1)
     return idx, log_w
 
 
@@ -211,21 +212,21 @@ def encode(codebook: Codebook, state_seq, scheme: Scheme, epsilon: float,
     """Choose a codeword jointly typical with the state sequence.
 
     Typicality is measured against the empirical state type.  Selection
-    "tilted" weights typical codewords by their conditional likelihood given
-    the states (so the chosen codeword behaves like an i.i.d. p(U|S) draw);
-    "first" deterministically takes the lowest index (rate-distortion style).
+    "tilted" weights typical codewords by prod_t p(u_t|s_t) / p_U(u_t), p_U
+    the codebook's own law, so the chosen codeword behaves like an i.i.d.
+    p(U|S) draw; "first" takes the lowest index (rate-distortion style).
     Raises EncoderFailure when no codeword qualifies.
     """
     state_seq = np.asarray(state_seq)
     if len(state_seq) != codebook.n:
         raise ContractViolationError("state sequence length must equal block length")
-    idx, log_w = _typical_codewords(codebook.sequences, state_seq, scheme, epsilon)
+    idx, log_w = _typical_codewords(codebook.sequences, state_seq, scheme,
+                                    codebook.p_u, epsilon)
     return _select_codeword(idx, log_w, selection, seed)
 
 
-def _log_tilt_table(prior, scheme):
-    """log p(u|s) - log p_U(u), with -inf where p(u|s) = 0."""
-    p_u = scheme.p_u(prior)
+def _log_tilt_table(p_u, scheme):
+    """log p(u|s) - log p_U(u), -inf where p(u|s) = 0, p_U the codewords' law."""
     with np.errstate(divide="ignore"):
         return (np.log(scheme.p_u_given_s.rows.T)
                 - np.log(np.maximum(p_u, 1e-300))[:, None])
@@ -318,21 +319,20 @@ def typicality_log_prob(state_counts, target_joint, epsilon, p_u):
                     state_counts, laws)[1]
 
 
-def _sample_box_codeword(rng, state_seq, boxes):
-    """Sample a codeword from i.i.d. per-state symbol laws conditioned on the box.
+def _sample_box_codeword(rng, state_seq, boxes, m):
+    """Sample m codewords from i.i.d. per-state symbol laws conditioned on the box.
 
-    `boxes` comes from `_box_law`: a box vector is drawn per state and
-    its symbols are shuffled into that state's positions.  Returns None when
-    the boxes are None (some box is empty or has zero mass under its law).
+    `boxes` comes from `_box_law`: per state, m box vectors are drawn at once
+    and their symbols shuffled into that state's positions.  Returns (m, n),
+    or None when the boxes are None (a box is empty or has zero mass).
     """
     if boxes is None:
         return None
-    out = np.empty(len(state_seq), dtype=np.int16)
+    out = np.empty((m, len(state_seq)), dtype=np.int16)
     for s, (vecs, p) in enumerate(boxes):
-        vec = vecs[rng.choice(len(vecs), p=p)]
-        symbols = np.repeat(np.arange(vecs.shape[1]), vec)
-        rng.shuffle(symbols)
-        out[state_seq == s] = symbols
+        chosen = vecs[rng.choice(len(vecs), size=m, p=p)]
+        symbols = np.repeat(np.tile(np.arange(vecs.shape[1]), m), chosen.ravel())
+        out[:, state_seq == s] = rng.permuted(symbols.reshape(m, -1), axis=1)
     return out
 
 
@@ -491,19 +491,12 @@ class ExactDecoderAdversary:
         self.kept = np.flatnonzero(prior_logw > _NEG_INF)
         self.cands = np.asarray(candidates)[self.kept]  # (kept, n)
         self.logw = prior_logw[self.kept]
-        # every candidate's weight, the dropped ones exact zeros (see _posterior)
-        self._all_w = np.zeros(prior_logw.size)
         self.sees_state_seq = sees_state_seq
         self.p_a_rows = tables.scheme.p_a_given_u.rows
 
     def _posterior(self):
         w = np.exp(self.logw - self.logw.max())
-        # normalized by the sum over every candidate: numpy's pairwise sum
-        # groups the kept weights by their positions in the full list, so
-        # this rounds as the unpruned posterior does and breaks B's exact
-        # ties the same way
-        self._all_w[self.kept] = w
-        return w / self._all_w.sum()
+        return w / w.sum()
 
     def act(self, t, s_t):
         post, payoff = self._posterior(), self.tables.game.payoff
@@ -515,7 +508,7 @@ class ExactDecoderAdversary:
         else:
             q = np.einsum("i,is,ia->sa", post, self.tables.p_s_given_u[u_t],
                           self.p_a_rows[u_t])
-        return int(payoff_against_pure(q, payoff, self.sees_state_seq).argmin())
+        return best_response(q, payoff, self.sees_state_seq).item()
 
     def observe(self, t, s_t, a_t):
         u_t = self.cands[:, t]
@@ -524,12 +517,13 @@ class ExactDecoderAdversary:
             self.logw = self.logw + self.tables.log_ps_u[u_t, s_t]
 
     def decoded_true(self, true_idx):
-        """Whether the true candidate alone has the highest posterior weight."""
+        """Whether the true candidate alone has the top weight (8 eps relative ties)."""
         pos = np.searchsorted(self.kept, true_idx)
         if pos == self.kept.size or self.kept[pos] != true_idx:
             return False  # dropped: its weight is -inf
         top = self.logw[pos]
-        return bool(np.isfinite(top)) and np.count_nonzero(self.logw >= top) == 1
+        return bool(np.isfinite(top)) and np.count_nonzero(
+            self.logw >= top - 8 * np.finfo(float).eps * abs(top)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +582,7 @@ class _SchemeTables:
         with np.errstate(divide="ignore"):
             self.log_pa_u = np.log(scheme.p_a_given_u.rows)  # (u, a)
             self.log_ps_u = np.log(self.p_s_given_u)  # (u, s)
-            self.log_tilt = _log_tilt_table(game.prior, scheme)  # (u, s)
+            self.log_tilt = _log_tilt_table(self.p_u, scheme)  # (u, s)
         # B's best responses, indexed [informed, s] before decoding and
         # [informed, s, u] once the codeword symbol u is known
         ns, nu = self.prior.size, self.p_u.size
@@ -598,12 +592,11 @@ class _SchemeTables:
         blind_sa = self.p_s_given_u[:, :, None] * pa[:, None, :]
         seen_sa = np.broadcast_to(pa[:, None, :], blind_sa.shape)
         self.marginal_br = np.stack([
-            np.full(ns, payoff_against_pure(self.joint_sa, game.payoff, False).argmin()),
-            payoff_against_pure(self.p_a_given_s, game.payoff, True).argmin(axis=-1)])
+            np.full(ns, best_response(self.joint_sa, game.payoff, False)),
+            best_response(self.p_a_given_s, game.payoff, True)])
         self.decoded_br = np.stack([
-            np.broadcast_to(payoff_against_pure(blind_sa, game.payoff, False)
-                            .argmin(axis=-1), (ns, nu)),
-            payoff_against_pure(seen_sa, game.payoff, True).argmin(axis=-1).T])
+            np.broadcast_to(best_response(blind_sa, game.payoff, False), (ns, nu)),
+            best_response(seen_sa, game.payoff, True).T])
         self._tails = {}
         self._boxes = {}
 
@@ -688,10 +681,10 @@ def _box_source(tables, cfg, log_n_codewords, rng, s_seq, informed):
     if m == 0:
         return None, None
     if informed and cfg.selection == "tilted" and m <= BOX_MATERIALIZE_CAP:
-        return np.stack([_sample_box_codeword(rng, s_seq, plain) for _ in range(m)]), None
+        return _sample_box_codeword(rng, s_seq, plain, m), None
     # the tilted rule's one codeword is a p(u|s) draw given the box
     return None, _sample_box_codeword(rng, s_seq,
-                                      tilted if cfg.selection == "tilted" else plain)
+                                      tilted if cfg.selection == "tilted" else plain, 1)[0]
 
 
 def _run_trial(tables, cfg, rate, rng, adversary):
@@ -720,7 +713,7 @@ def _run_trial(tables, cfg, rate, rng, adversary):
         candidates, u_sent = _box_source(tables, cfg, log_n_codewords, rng, s_seq,
                                          informed)
     if candidates is not None:
-        idx, log_w = _typical_codewords(candidates, s_seq, scheme, cfg.epsilon)
+        idx, log_w = _typical_codewords(candidates, s_seq, scheme, tables.p_u, cfg.epsilon)
         try:
             true_idx = _select_codeword(idx, log_w, selection,
                                         int(rng.integers(1 << 62)))
@@ -838,8 +831,8 @@ def adversary_play(model: str, past_states, past_actions, codebook: Codebook,
     Stateless wrapper over B's play in a materialized trial (`_run_trial`):
     the posterior is recomputed from the full history each call.
     `state_seq` supplies the whole block for the state-aware model, whose
-    prior is the tilt over the encoder's typical set at the empirical state
-    type; against "first" it reproduces the sent codeword and plays the
+    prior is the encoder's tilt (against `codebook.p_u`) over its typical
+    set; against "first" it reproduces the sent codeword and plays the
     trial's lookup.  The plain decoder sees only past states causally.  With
     no candidate left, B best-responds to the scheme marginal.
     """
@@ -858,7 +851,7 @@ def adversary_play(model: str, past_states, past_actions, codebook: Codebook,
     prior_logw = np.zeros(codebook.count)
     if informed:
         idx, prior_logw = _typical_codewords(codebook.sequences, np.asarray(state_seq),
-                                             scheme, epsilon)
+                                             scheme, codebook.p_u, epsilon)
         if selection == "first" and idx.size:
             return int(tables.decoded_br[1, s_t, codebook.sequences[idx[0], iteration]])
     adv = ExactDecoderAdversary(tables, codebook.sequences, prior_logw, informed)

@@ -201,6 +201,25 @@ def test_optimize_bound_at_least_full_description(erasure_game):
     assert point.payoff >= 0.75 - 1e-3
 
 
+def test_structured_starts_reach_both_endpoints():
+    """With only its structured starts and one Nelder-Mead iteration, the
+    search reaches V0 = game_value(constant, f_B) at rate 0 and V_inf =
+    game_value(identity, f_B) at rate 10 on 30 random games, B informed and
+    uninformed in turn (f_B the identity or the constant map)."""
+    rng = np.random.default_rng(7)
+    search = BoundSearch(restarts=1, iterations=1)
+    for i in range(30):
+        ns, na, nb = (int(k) for k in rng.integers(2, 4, size=3))
+        game = random_game(rng, ns, na, nb)
+        informed = i % 2 == 0
+        f_b = (SignalFunction.identity if informed else SignalFunction.constant)(ns)
+        v0 = game_value(game, SignalFunction.constant(ns), f_b).value
+        v_inf = game_value(game, SignalFunction.identity(ns), f_b).value
+        (_, at_0), (_, at_10) = optimize_bound(game, [0.0, 10.0], informed, 3, search)
+        assert abs(at_0.payoff - v0) <= 1e-5, (i, at_0.payoff, v0)
+        assert abs(at_10.payoff - v_inf) <= 1e-5, (i, at_10.payoff, v_inf)
+
+
 def test_optimize_bound_rejects_bad_cardinality(erasure_game):
     with pytest.raises(ContractViolationError):
         optimize_bound(erasure_game, 0.5, b_knows_state=True, card_u=0)

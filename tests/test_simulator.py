@@ -125,13 +125,16 @@ def test_build_codebook_checks_the_prior_itself(prior):
 
 
 # Per-iteration payoffs and decode rates of two materialized matches (erasure
-# game, optimal scheme, n = 12, rate 0.8, 20 trials, seed 4), recorded before
-# the codebook draw was rewritten from Generator.choice to its inverse cdf.
-# A change that moves the random stream on purpose updates these and says so.
+# game, optimal scheme, n = 12, rate 0.8, 20 trials, seed 4).  The oblivious
+# row was recorded before the codebook draw was rewritten from
+# Generator.choice to its inverse cdf; the decoder row since the tilt is
+# taken against the codebook's own law and B's ties are broken within a
+# rounding bound.  A change that moves the random stream on purpose updates
+# these and says so.
 STREAM_PIN = {
     "decoder_with_state": (
-        [0.4, 0.3, 0.55, 0.45, 0.45, 0.35, 0.25, 0.3, 0.35, 0.35, 0.2, 0.35],
-        [0.45, 0.4, 0.5, 0.65, 0.7, 0.65, 0.65, 0.7, 0.7, 0.75, 0.8, 0.7]),
+        [0.45, 0.5, 0.55, 0.45, 0.45, 0.35, 0.25, 0.3, 0.35, 0.35, 0.35, 0.35],
+        [0.45, 0.4, 0.45, 0.6, 0.7, 0.65, 0.65, 0.65, 0.65, 0.7, 0.8, 0.65]),
     "oblivious": (
         [0.7, 0.75, 0.6, 0.7, 1.0, 0.65, 0.85, 0.75, 0.65, 0.6, 0.9, 0.55],
         [0.0] * 12),
@@ -377,7 +380,7 @@ def test_adversary_play_is_the_trials_decoder(model, selection, erasure):
         tables = _SchemeTables(game, scheme)
         s_seq = rng.choice(2, size=12, p=game.prior)
         book = build_codebook(scheme, n=12, rate=0.8, seed=seed, prior=game.prior)
-        idx, log_w = _typical_codewords(book.sequences, s_seq, scheme, epsilon)
+        idx, log_w = _typical_codewords(book.sequences, s_seq, scheme, book.p_u, epsilon)
         try:
             true_idx = _select_codeword(idx, log_w, selection, seed)
         except EncoderFailure:
@@ -490,20 +493,12 @@ def test_adversary_play_reproduces_the_first_rule(erasure_game, optimal_scheme):
 
 class KeepEveryCandidate(ExactDecoderAdversary):
     """Reference decoder: the posterior over every candidate of the codebook,
-    -inf prior weights included."""
+    -inf prior weights included, under the decoder's own rules."""
 
     def __init__(self, tables, candidates, prior_logw, sees_state_seq):
         super().__init__(tables, candidates, np.zeros(len(prior_logw)),
                          sees_state_seq)
         self.logw = np.array(prior_logw, dtype=float)
-
-    def _posterior(self):
-        w = np.exp(self.logw - self.logw.max())
-        return w / w.sum()
-
-    def decoded_true(self, true_idx):
-        top = self.logw[true_idx]
-        return bool(np.isfinite(top)) and np.count_nonzero(self.logw >= top) == 1
 
 
 @settings(max_examples=120, deadline=None)
@@ -527,7 +522,7 @@ def test_property_pruned_decoder_plays_as_the_full_posterior(seed, n, rate,
     s_seq = rng.choice(2, size=n, p=game.prior)
     book = build_codebook(scheme, n, rate, int(rng.integers(1 << 62)),
                           prior=game.prior)
-    idx, log_w = _typical_codewords(book.sequences, s_seq, scheme, 0.1)
+    idx, log_w = _typical_codewords(book.sequences, s_seq, scheme, book.p_u, 0.1)
     if idx.size == 0:
         return  # the encoder fails, and a trial runs no decoder
     true_idx = _select_codeword(idx, log_w, selection, int(rng.integers(1 << 62)))
@@ -553,9 +548,8 @@ def test_pruned_decoder_breaks_exact_ties_as_the_full_posterior(monkeypatch,
                                                                 erasure_game,
                                                                 optimal_scheme):
     """Trial 271 of a seed-2 match at n = 16: after two steps B's two actions
-    tie exactly (0.75 each), so the rounding of the posterior picks B's
-    action.  Normalizing over the kept weights alone rounds differently and
-    flips it at step 3."""
+    tie exactly (0.75 each), and the posteriors over the kept and over all
+    candidates round differently; the tie rule gives both B's first action."""
     tables = _SchemeTables(erasure_game, optimal_scheme)
     config = MatchConfig(n=16, trials=300, adversary="decoder_with_state",
                          epsilon=0.1, seed=2)
@@ -566,6 +560,55 @@ def test_pruned_decoder_breaks_exact_ties_as_the_full_posterior(monkeypatch,
                                 "decoder_with_state")
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
     assert want[0][2] == 0.0  # the tie went to B's first action
+
+
+class KeptWeightsPosterior(ExactDecoderAdversary):
+    """The exact decoder with its posterior normalized over the kept weights,
+    whichever way the decoder under test normalizes it."""
+
+    def _posterior(self):
+        w = np.exp(self.logw - self.logw.max())
+        return w / w.sum()
+
+
+def test_exact_tie_goes_to_the_lowest_action_whatever_the_rounding(monkeypatch,
+                                                                   erasure_game,
+                                                                   optimal_scheme):
+    """Trial 271 again, the posterior summed over the kept weights only: B's
+    two actions still tie within rounding at step 3 (0.7500000000000001
+    against 0.75), and B plays its first action."""
+    tables = _SchemeTables(erasure_game, optimal_scheme)
+    config = MatchConfig(n=16, trials=300, adversary="decoder_with_state",
+                         epsilon=0.1, seed=2)
+    plays = []
+
+    def decoder_play(*args):
+        plays.append(_decoder_play(*args))
+        return plays[-1]
+
+    monkeypatch.setattr(simulator, "ExactDecoderAdversary", KeptWeightsPosterior)
+    monkeypatch.setattr(simulator, "_decoder_play", decoder_play)
+    simulator._run_trial(tables, config, 0.8, simulator._trial_rng(2, 271),
+                         "decoder_with_state")
+    assert plays[0][0][2] == 0
+
+
+def test_decode_tie_reads_the_same_in_either_summation_order():
+    """Trial 31 of the uninformed `random-exact-12` comparison match: two
+    candidates whose log weights sum the same four terms in another order
+    (-7.971389178494851 and -7.971389178494852) tie, so neither is decoded
+    alone, whichever of them was sent."""
+    rng = np.random.default_rng(0)
+    game = random_game(rng, n_states=3, n_actions_a=3, n_actions_b=3)
+    scheme = random_scheme(rng, n_states=3, card_u=3, n_actions=3)
+    tables = _SchemeTables(game, scheme)
+    pair = np.array([[0, 1, 0, 0], [0, 0, 0, 1]])
+    for cands in (pair, pair[::-1]):
+        adv = ExactDecoderAdversary(tables, cands, np.zeros(2), sees_state_seq=False)
+        for t, (s_t, a_t) in enumerate(zip([0, 0, 2, 0], [1, 0, 1, 0])):
+            adv.observe(t, s_t, a_t)
+        assert adv.logw[0] != adv.logw[1]  # the two orders round apart
+        assert not adv.decoded_true(0) and not adv.decoded_true(1)
 
 
 class RecordingRng:
@@ -580,6 +623,40 @@ class RecordingRng:
 
     def __getattr__(self, name):
         return getattr(self.rng, name)
+
+
+def test_informed_prior_is_the_tilt_against_the_codeword_law(monkeypatch,
+                                                             erasure_game,
+                                                             optimal_scheme):
+    """On a state sequence whose type is off the prior, the informed
+    decoder's prior weight of every typical codeword is its sum of
+    `tables.log_tilt`, the weight `_AnalyticTrial` gives the sent codeword."""
+    tables = _SchemeTables(erasure_game, optimal_scheme)
+    config = MatchConfig(n=16, trials=1, adversary="decoder_with_state",
+                         epsilon=0.1, seed=0)
+    priors = []
+
+    class Recording(ExactDecoderAdversary):
+        def __init__(self, tables, candidates, prior_logw, sees_state_seq):
+            super().__init__(tables, candidates, prior_logw, sees_state_seq)
+            priors.append((np.asarray(candidates), np.asarray(prior_logw)))
+
+    monkeypatch.setattr(simulator, "ExactDecoderAdversary", Recording)
+    off_prior = 0
+    for trial in range(10):
+        priors.clear()
+        rng = RecordingRng(simulator._trial_rng(config.seed, trial))
+        simulator._run_trial(tables, config, 0.8, rng, "decoder_with_state")
+        s_seq = rng.choices[0]
+        if np.bincount(s_seq, minlength=2)[0] == 8 or not priors:
+            continue  # the type is the prior's, or the encoder failed
+        off_prior += 1
+        cands, prior_logw = priors[0]
+        typical = np.isfinite(prior_logw)
+        assert typical.any()
+        want = tables.log_tilt[cands[typical], s_seq].sum(axis=1)
+        np.testing.assert_allclose(prior_logw[typical], want, rtol=1e-13, atol=1e-13)
+    assert off_prior >= 5
 
 
 @pytest.mark.parametrize("adversary", ["decoder", "decoder_with_state"])
@@ -614,7 +691,8 @@ def test_adversary_play_without_candidates_plays_the_marginal(erasure_game,
     # a rate-0 codebook has one codeword, almost surely atypical
     book = build_codebook(optimal_scheme, n=12, rate=0.0, seed=4)
     s_seq = np.random.default_rng(6).integers(0, 2, size=12)
-    assert _typical_codewords(book.sequences, s_seq, optimal_scheme, 0.01)[0].size == 0
+    assert _typical_codewords(book.sequences, s_seq, optimal_scheme, book.p_u,
+                              0.01)[0].size == 0
     for t in range(12):
         b = adversary_play("decoder_with_state", s_seq[:t], np.ones(t, dtype=int), book,
                            optimal_scheme, erasure_game, t, state_seq=s_seq,

@@ -144,22 +144,28 @@ def test_empty_box_is_impossible(block, epsilon, excess, seed):
     boxes, log_mass = _box_law(_state_boxes(state_counts, target, epsilon),
                                state_counts, p_u_given_s)
     assert log_mass == -np.inf
-    assert _sample_box_codeword(np.random.default_rng(seed), s_seq, boxes) is None
+    assert _sample_box_codeword(np.random.default_rng(seed), s_seq, boxes, 3) is None
 
 
 @SETTINGS
-@given(blocks(max_n=40), st.floats(0.05, 0.5), st.booleans(),
+@given(blocks(max_n=40), st.floats(0.05, 0.5), st.booleans(), st.integers(1, 6),
        st.integers(0, 2**32 - 1))
-def test_box_members_pass_the_kernel(block, epsilon, tilted, seed):
+def test_box_members_pass_the_kernel(block, epsilon, tilted, m, seed):
+    """Every row of an m-codeword draw has each state's counts in its box."""
     s_seq, target, p_u_given_s, p_u = block
     ns = target.shape[1]
     laws = p_u_given_s if tilted else np.tile(p_u, (ns, 1))
     state_counts = np.bincount(s_seq, minlength=ns)
-    boxes, _ = _box_law(_state_boxes(state_counts, target, epsilon), state_counts,
-                        laws)
-    codeword = _sample_box_codeword(np.random.default_rng(seed), s_seq, boxes)
-    if codeword is not None:
-        assert _typical_set(codeword, s_seq, target, epsilon)[1][0]
+    vectors = _state_boxes(state_counts, target, epsilon)
+    boxes, _ = _box_law(vectors, state_counts, laws)
+    codewords = _sample_box_codeword(np.random.default_rng(seed), s_seq, boxes, m)
+    if codewords is not None:
+        assert codewords.shape == (m, len(s_seq))
+        assert _typical_set(codewords, s_seq, target, epsilon)[1].all()
+        counts = _naive_counts(codewords, s_seq, target.shape[0], ns)
+        for s, vecs in enumerate(vectors):
+            in_box = (counts[:, None, :, s] == vecs[None]).all(axis=2).any(axis=1)
+            assert in_box.all()
 
 
 @st.composite
