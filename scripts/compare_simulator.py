@@ -37,7 +37,10 @@ match's per-iteration payoffs, decode rates, encoder failure rate and mean
 payoff) is equal to the last bit, and moved otherwise.  Prints one JSON
 line per moved case with the number of iterations that moved and the
 largest difference, then a summary with the counts and the seconds each
-side spent.  Takes about a minute.
+side spent on the benchmark's calls and on the rest, each split by codeword
+source: `virtual` where the nominal codebook exceeds the codebook cap, else
+`materialized`.  So a change to one path shows where its time went.  Takes
+about a minute.
 """
 
 from __future__ import annotations
@@ -80,15 +83,31 @@ SUITE_MATCHES = (("suite-exact", None), ("suite-virtual", 1))
 
 
 def bench_calls(directory):
-    """(seed, argv) of every call of the benchmark's simulate rounds."""
+    """(seed, argv, meta) of every call of the benchmark's simulate rounds."""
     spec = importlib.util.spec_from_file_location("workloads", ROOT / "bench" / "workloads.py")
     workloads = sys.modules["workloads"] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     out = []
     for seed in BENCH_SEEDS:
         inputs = workloads.write_inputs("simulate", seed, str(Path(directory) / str(seed)))
-        out += [(seed, call.argv) for call in workloads.calls("simulate", seed, inputs)]
+        out += [(seed, call.argv, call.meta)
+                for call in workloads.calls("simulate", seed, inputs)]
     return out
+
+
+def codeword_source(n, rate, cap=None):
+    """`virtual` or `materialized`: the simulator's fork for a match."""
+    from statehelper.simulator import DEFAULT_CODEBOOK_CAP, codeword_count
+    fits = codeword_count(n, rate) * n <= (cap or DEFAULT_CODEBOOK_CAP)
+    return "materialized" if fits else "virtual"
+
+
+@contextlib.contextmanager
+def timed(seconds, key):
+    """Add the block's wall time to seconds[key]."""
+    start = time.perf_counter()
+    yield
+    seconds[key] = seconds.get(key, 0.0) + time.perf_counter() - start
 
 
 def print_match(case, result):
@@ -98,11 +117,12 @@ def print_match(case, result):
                       "mean_payoff": result.mean_payoff}))
 
 
-def run_grid(game, scheme, points):
+def run_grid(game, scheme, points, seconds):
     """Every adversary, selection and grid seed at each (name, n, rate,
     epsilon, codebook cap or None) point, on the side's statehelper."""
     from statehelper import MatchConfig, run_match
     for name, n, rate, epsilon, cap in points:
+        key = f"grid_{codeword_source(n, rate, cap)}_s"
         for adversary in ADVERSARIES:
             for selection in SELECTIONS:
                 for seed in GRID_SEEDS:
@@ -111,8 +131,9 @@ def run_grid(game, scheme, points):
                                          b_knows_state=adversary != "decoder",
                                          seed=seed, selection=selection,
                                          **({"codebook_cap": cap} if cap else {}))
-                    print_match([name, adversary, selection, seed],
-                                run_match(game, scheme, rate, config))
+                    with timed(seconds, key):
+                        result = run_match(game, scheme, rate, config)
+                    print_match([name, adversary, selection, seed], result)
 
 
 def run_side(src):
@@ -123,28 +144,28 @@ def run_side(src):
     sys.path.insert(0, str(ROOT / "tests"))
     import conftest
     game, scheme = conftest.make_erasure_game(), conftest.make_optimal_erasure_scheme()
-    bench_s = 0.0
+    seconds = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for i, (seed, argv) in enumerate(bench_calls(tmp)):
+        for i, (seed, argv, meta) in enumerate(bench_calls(tmp)):
             text = io.StringIO()
-            start = time.perf_counter()
-            with contextlib.redirect_stdout(text):
+            with timed(seconds, f"bench_{codeword_source(meta['n'], meta['rate'])}_s"), \
+                    contextlib.redirect_stdout(text):
                 code = cli_main(argv)
-            bench_s += time.perf_counter() - start
             print(json.dumps({"case": ["simulate", seed, i % 3], "exit": code,
                               "output": text.getvalue()}))
-    start = time.perf_counter()
-    run_grid(game, scheme, [(*point, None) for point in GRID_POINTS])
+    run_grid(game, scheme, [(*point, None) for point in GRID_POINTS], seconds)
     rng = np.random.default_rng(RANDOM_SEED)
     random_game = conftest.random_game(rng, n_states=3, n_actions_a=3, n_actions_b=3)
     random_scheme = conftest.random_scheme(rng, n_states=3, card_u=3, n_actions=3)
-    run_grid(random_game, random_scheme, RANDOM_POINTS)
+    run_grid(random_game, random_scheme, RANDOM_POINTS, seconds)
     for name, cap in SUITE_MATCHES:
         config = MatchConfig(n=16, trials=300, adversary="decoder_with_state",
                              epsilon=0.1, seed=2,
                              **({"codebook_cap": cap} if cap else {}))
-        print_match([name], run_match(game, scheme, 0.8, config))
-    print(json.dumps({"bench_s": bench_s, "grid_s": time.perf_counter() - start}))
+        with timed(seconds, f"grid_{codeword_source(16, 0.8, cap)}_s"):
+            result = run_match(game, scheme, 0.8, config)
+        print_match([name], result)
+    print(json.dumps(dict(sorted(seconds.items()))))
 
 
 def collect(src):

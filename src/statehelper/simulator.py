@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,8 +68,20 @@ class Codebook:
         return self.sequences.shape[0]
 
 
+def _codeword_bits(n, rate):
+    """ceil(n * rate): the codebook holds 2 to this power codewords."""
+    return int(np.ceil(n * rate - 1e-12))
+
+
 def codeword_count(n: int, rate: float) -> int:
-    return 1 << int(np.ceil(n * rate - 1e-12))
+    return 1 << _codeword_bits(n, rate)
+
+
+def _codebook_fits(n, rate, cap):
+    """Whether 2^ceil(n*rate) codewords of n symbols fit the cap, decided on
+    the exponent first so that a large rate never builds the count."""
+    bits = _codeword_bits(n, rate)
+    return bits < int(cap).bit_length() and int(n) << bits <= cap
 
 
 def build_codebook(scheme: Scheme, n: int, rate: float, seed: int,
@@ -84,10 +97,10 @@ def build_codebook(scheme: Scheme, n: int, rate: float, seed: int,
     """
     if n < 1 or not 0 <= rate < np.inf:
         raise ContractViolationError("need n >= 1 and a finite rate >= 0")
+    if not _codebook_fits(n, rate, cap):
+        raise CapacityError(f"codebook of 2^{_codeword_bits(n, rate)} sequences x "
+                            f"{n} symbols exceeds cap {cap}")
     count = codeword_count(n, rate)
-    if count * n > cap:
-        raise CapacityError(
-            f"codebook of {count} sequences x {n} symbols exceeds cap {cap}")
     if prior is None:
         prior = np.full(scheme.p_u_given_s.from_size,
                         1.0 / scheme.p_u_given_s.from_size)
@@ -346,8 +359,32 @@ TAIL_REGIMES = ("unreachable", "empty", "above_sup", "at_sup", "bulk",
 THETA_MAX = 400.0  # a saddlepoint beyond this counts as all mass at the supremum
 THETA_RTOL = 1e-10  # saddlepoint solve: Newton step or bracket, relative to 1 + theta
 # prefixes solved at once across a match's trials (8 trials at n = 128); a
-# whole match at once would raise peak memory for no further gain
+# whole match at once would raise peak memory for no further gain.  A
+# 200-trial criterion-7 match took 0.177, 0.153, 0.142, 0.156 and 0.157 s
+# (median of 7, 2-vCPU guest) at 256, 512, 1024, 2048 and 4096 rows
 TAIL_BATCH_ROWS = 1024
+
+
+def _atom_sum(planes):
+    """Sum of an (atoms, ...) array over its atoms, added in the order numpy
+    sums a contiguous last axis of that length: one after another below 8
+    atoms, else in 8 interleaved partial sums (`pairwise_sum`), halved in
+    blocks of 8 past 128 atoms.  So the atom-major kernel reproduces the
+    sums of an atom-last one to the last bit."""
+    n = len(planes)
+    if n < 8:
+        return planes.sum(axis=0)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _atom_sum(planes[:half]) + _atom_sum(planes[half:])
+    end = n - n % 8
+    r = planes[:8].copy()
+    for i in range(8, end, 8):
+        r += planes[i:i + 8]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for i in range(end, n):
+        total += planes[i]
+    return total
 
 
 class _CompetitorTail:
@@ -360,7 +397,7 @@ class _CompetitorTail:
     every row at once, ln P(sum of counts[c] draws from cell c >= threshold)
     with the Lugannani-Rice saddlepoint formula, capped by the survival
     probability.  Every row whose saddlepoint is needed shares one
-    safeguarded Newton/bisection solve on a (rows, cells, atoms) array.
+    safeguarded Newton/bisection solve on an (atoms, rows, cells) array.
     """
 
     def __init__(self, cell_values, log_w):
@@ -379,20 +416,26 @@ class _CompetitorTail:
             / np.maximum(wsum, 1e-300)
         # centered values keep exp(theta * v) bounded for large theta;
         # absent and weightless atoms sit at 0 so they never overflow
-        self.centered = np.where(self.weights > 0,
-                                 self.values - self.vmax[:, None], 0.0)
+        centered = np.where(self.weights > 0, self.values - self.vmax[:, None], 0.0)
+        # atom-major (atoms, 1, cells) copies: the moment sums over atoms are
+        # then sums of whole (rows, cells) planes, not one short sum per cell
+        self._weights_am, self._values_am, self._centered_am = (
+            np.ascontiguousarray(x.T[:, None, :])
+            for x in (self.weights, self.values, centered))
 
-    def _cgf(self, theta, counts):
-        """K(theta), K'(theta), K''(theta) of each row of counts, shape (rows,)."""
-        e = self.weights * np.exp(theta[:, None, None] * self.centered)
-        ev = e * self.values
-        s0 = np.maximum(e.sum(axis=2), 1e-300)
-        s1 = ev.sum(axis=2) / s0
-        s2 = (ev * self.values).sum(axis=2) / s0
-        k0 = (counts * (theta[:, None] * self.vmax + np.log(s0))).sum(axis=1)
+    def _cgf(self, theta, counts, need_k0=True):
+        """K(theta) (None unless need_k0), K'(theta) and K''(theta) of each row of
+        counts, shape (rows,)."""
+        e = self._weights_am * np.exp(theta[:, None] * self._centered_am)
+        ev = e * self._values_am
+        s0 = np.maximum(_atom_sum(e), 1e-300)
+        s1 = _atom_sum(ev) / s0
+        s2 = _atom_sum(ev * self._values_am) / s0
         k1 = (counts * s1).sum(axis=1)
         k2 = (counts * np.maximum(s2 - s1 * s1, 0.0)).sum(axis=1)
-        return k0, k1, k2
+        if not need_k0:
+            return None, k1, k2
+        return (counts * (theta[:, None] * self.vmax + np.log(s0))).sum(axis=1), k1, k2
 
     def log_tails(self, counts, thresholds):
         """Log tails of an (rows, cells) count matrix against (rows,) thresholds.
@@ -401,7 +444,7 @@ class _CompetitorTail:
         takes the first regime whose test it passes.  The saddlepoint solve
         stops on a row once its Newton step |t - K'(theta)| / K''(theta) or
         its bracket is at most THETA_RTOL (1 + theta), after that one more
-        Newton step.
+        Newton step.  The moments are only ever computed for rows still open.
         """
         counts = np.asarray(counts, dtype=float)
         t = np.asarray(thresholds, dtype=float)
@@ -410,10 +453,13 @@ class _CompetitorTail:
         log_survival = counts @ self.log_wsum
         at_max = counts @ self.log_w_at_max  # mass exactly at the supremum
 
+        def settle_at(rows, name, value):
+            out[rows] = value
+            regime[rows] = TAIL_REGIMES.index(name)
+
         def settle(rows, name, value):
             rows = rows & (regime < 0)
-            out[rows] = value[rows] if np.ndim(value) else value
-            regime[rows] = TAIL_REGIMES.index(name)
+            settle_at(rows, name, value[rows] if np.ndim(value) else value)
 
         # an occupied cell no competitor can ever match
         settle(((counts > 0) & ~self.reachable).any(axis=1), "unreachable", _NEG_INF)
@@ -421,17 +467,22 @@ class _CompetitorTail:
         settle(t > counts @ self.vmax + 1e-9, "above_sup", _NEG_INF)
         settle(t >= counts @ self.vmax - 1e-9, "at_sup", at_max)
         settle(t <= counts @ self.mean_cond, "bulk", log_survival)
+        live = np.flatnonzero(regime < 0)
+        if live.size == 0:
+            return out, regime
         hi = np.full(t.size, THETA_MAX)
-        settle(self._cgf(hi, counts)[1] < t, "overflow", at_max)
+        overflow = self._cgf(hi[live], counts[live], need_k0=False)[1] < t[live]
+        settle_at(live[overflow], "overflow", at_max[live[overflow]])
+        live = live[~overflow]
         # K' rises from below t at 0 to at least t at THETA_MAX, so [lo, hi]
         # brackets the saddlepoint of every row still unsettled
         lo, theta = np.zeros(t.size), np.ones(t.size)
-        live = np.flatnonzero(regime < 0)
+        solve = live
         for _ in range(60):
-            if live.size == 0:
+            if solve.size == 0:
                 break
-            th, lo_l, hi_l, t_l = theta[live], lo[live], hi[live], t[live]
-            _, k1, k2 = self._cgf(th, counts[live])
+            th, lo_l, hi_l, t_l = theta[solve], lo[solve], hi[solve], t[solve]
+            _, k1, k2 = self._cgf(th, counts[solve], need_k0=False)
             with np.errstate(divide="ignore", invalid="ignore"):
                 step = th + (t_l - k1) / k2
             # a row is solved once its Newton step or its bracket is below
@@ -442,20 +493,26 @@ class _CompetitorTail:
             lo_l = np.where(miss & (k1 < t_l), th, lo_l)
             hi_l = np.where(miss & (k1 >= t_l), th, hi_l)
             newton = (k2 > 1e-300) & (lo_l < step) & (step < hi_l)
-            theta[live] = np.where(newton, step, np.where(miss, 0.5 * (lo_l + hi_l), th))
-            lo[live], hi[live] = lo_l, hi_l
-            live = live[miss]
-        k0, k1, k2 = self._cgf(theta, counts)
-        arg = 2.0 * (theta * t - k0)
-        w_lr, u_lr = np.sqrt(np.maximum(arg, 0.0)), theta * np.sqrt(k2)
-        settle((arg <= 0) | (k2 <= 0), "arg_nonpositive", log_survival)
-        settle((u_lr < 1e-8) | (w_lr < 1e-8), "tiny_uw",
-               np.minimum(log_survival, np.log(0.5)))
+            theta[solve] = np.where(newton, step, np.where(miss, 0.5 * (lo_l + hi_l), th))
+            lo[solve], hi[solve] = lo_l, hi_l
+            solve = solve[miss]
+        if live.size == 0:
+            return out, regime
+        th, t_l, survival = theta[live], t[live], log_survival[live]
+        k0, _, k2 = self._cgf(th, counts[live])
+        arg = 2.0 * (th * t_l - k0)
+        w_lr, u_lr = np.sqrt(np.maximum(arg, 0.0)), th * np.sqrt(k2)
+        flat = (arg <= 0) | (k2 <= 0)
+        tiny = ~flat & ((u_lr < 1e-8) | (w_lr < 1e-8))
+        lr = ~(flat | tiny)
+        settle_at(live[flat], "arg_nonpositive", survival[flat])
+        settle_at(live[tiny], "tiny_uw", np.minimum(survival[tiny], np.log(0.5)))
+        w, u = w_lr[lr], u_lr[lr]
         with np.errstate(divide="ignore", invalid="ignore"):
-            tail = _normal_tail(w_lr) + np.exp(-0.5 * w_lr * w_lr) / np.sqrt(2 * np.pi) \
-                * (1.0 / u_lr - 1.0 / w_lr)
-            settle(regime < 0, "lugannani_rice",
-                   np.minimum(np.log(np.clip(tail, 1e-300, 1.0)), log_survival))
+            tail = _normal_tail(w) + np.exp(-0.5 * w * w) / np.sqrt(2 * np.pi) \
+                * (1.0 / u - 1.0 / w)
+            settle_at(live[lr], "lugannani_rice",
+                      np.minimum(np.log(np.clip(tail, 1e-300, 1.0)), survival[lr]))
         return out, regime
 
 
@@ -687,13 +744,30 @@ def _box_source(tables, cfg, log_n_codewords, rng, s_seq, informed):
                                       tilted if cfg.selection == "tilted" else plain, 1)[0]
 
 
-def _run_trial(tables, cfg, rate, rng, adversary):
+class _CodewordSource(NamedTuple):
+    """A match's codeword source: its rate, whether its 2^ceil(n*rate)
+    codewords are materialized, and the log of that count."""
+
+    rate: float
+    materialized: bool
+    log_n_codewords: float
+
+
+def _codeword_source(cfg, rate):
+    """The codeword source of a match, decided once from the exponent."""
+    bits = _codeword_bits(cfg.n, rate)
+    return _CodewordSource(rate, _codebook_fits(cfg.n, rate, cfg.codebook_cap),
+                           bits * _LOG2)
+
+
+def _run_trial(tables, cfg, source, rng, adversary):
     """One block of the coded game: states, a codeword, A's play, B's play.
 
-    The codeword source is the one fork: a materialized codebook when it
-    fits `cfg.codebook_cap`, else `_box_source`.  Candidates from either
-    source (the codebook, or enumerated typical-set members) go through the
-    same typicality test and selection rule.  B's play is the first that
+    The codeword source is the one fork, decided once per match by
+    `_codeword_source`: a materialized codebook when it fits
+    `cfg.codebook_cap`, else `_box_source`.  Candidates from either source
+    (the codebook, or enumerated typical-set members) go through the same
+    typicality test and selection rule.  B's play is the first that
     applies of: the oblivious mix; after an encoder failure, the best
     response to the scheme marginal; against the deterministic "first" rule,
     informed, the best response to the reproduced codeword; the exact
@@ -705,13 +779,12 @@ def _run_trial(tables, cfg, rate, rng, adversary):
     informed = adversary == "decoder_with_state"
     s_seq = rng.choice(tables.prior.size, size=n, p=tables.prior)
     u_sent = None
-    if codeword_count(n, rate) * n <= cfg.codebook_cap:
-        candidates = build_codebook(scheme, n, rate, int(rng.integers(1 << 62)),
+    if source.materialized:
+        candidates = build_codebook(scheme, n, source.rate, int(rng.integers(1 << 62)),
                                     cap=cfg.codebook_cap, prior=tables.prior).sequences
     else:
-        log_n_codewords = int(np.ceil(n * rate - 1e-12)) * _LOG2
-        candidates, u_sent = _box_source(tables, cfg, log_n_codewords, rng, s_seq,
-                                         informed)
+        candidates, u_sent = _box_source(tables, cfg, source.log_n_codewords, rng,
+                                         s_seq, informed)
     if candidates is not None:
         idx, log_w = _typical_codewords(candidates, s_seq, scheme, tables.p_u, cfg.epsilon)
         try:
@@ -746,7 +819,7 @@ def _run_trial(tables, cfg, rate, rng, adversary):
     else:
         # the payoffs wait for a saddlepoint solve shared with other trials
         return _AnalyticTrial(tables, s_seq, a_seq, u_sent, informed,
-                              log_n_codewords), None, failed
+                              source.log_n_codewords), None, failed
     return tables.game.payoff[a_seq, b_seq, s_seq], decode, failed
 
 
@@ -875,6 +948,7 @@ def run_match(game: Game, scheme: Scheme, rate: float, config: MatchConfig
     adversary = config.adversary
     if adversary == "decoder" and config.b_knows_state:
         adversary = "decoder_with_state"
+    source = _codeword_source(config, rate)
     pay_sum = np.zeros(n)
     dec_sum = np.zeros(n)
     failures = 0
@@ -882,7 +956,7 @@ def run_match(game: Game, scheme: Scheme, rate: float, config: MatchConfig
     # each trial draws from its own stream and sums add in trial order
     group = max(1, TAIL_BATCH_ROWS // n)
     for first in range(0, trials, group):
-        outcomes = [_run_trial(tables, config, rate, _trial_rng(config.seed, trial),
+        outcomes = [_run_trial(tables, config, source, _trial_rng(config.seed, trial),
                                adversary)
                     for trial in range(first, min(first + group, trials))]
         for pay, dec, failed in _settle(outcomes):

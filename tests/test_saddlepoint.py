@@ -23,6 +23,7 @@ from statehelper.simulator import (
     THETA_MAX,
     _analytic_payoffs,
     _AnalyticTrial,
+    _codeword_source,
     _CompetitorTail,
     _run_trial,
     _SchemeTables,
@@ -354,8 +355,9 @@ def _trial_by_trial_match(game, scheme, rate, config):
     builds its own tables (so no tail or box work is shared) and solves its
     own tails through `_analytic_payoffs`, in trial order."""
     pay_sum, dec_sum, failures = np.zeros(config.n), np.zeros(config.n), 0
+    source = _codeword_source(config, rate)
     for trial in range(config.trials):
-        pay, dec, failed = _run_trial(_SchemeTables(game, scheme), config, rate,
+        pay, dec, failed = _run_trial(_SchemeTables(game, scheme), config, source,
                                       _trial_rng(config.seed, trial),
                                       config.adversary)
         if isinstance(pay, _AnalyticTrial):
@@ -390,3 +392,132 @@ def test_batched_match_is_the_trial_by_trial_match(monkeypatch, n, rate):
     assert np.array_equal(result.per_iteration_payoff, payoff)
     assert np.array_equal(result.decode_success, decode)
     assert result.encoder_failure_rate == failure_rate
+
+
+# ---------------------------------------------------------------------------
+# the atom-major moment kernel against the atom-last one it replaced
+
+
+def atom_last_cgf(tail, theta, counts, need_k0=True):
+    """The moment kernel on a (rows, cells, atoms) array, summing each cell's
+    atoms on numpy's short last axis: the layout `_cgf` had before its
+    atom-major copies.  Always returns all three moments."""
+    e = tail.weights * np.exp(theta[:, None, None] * np.where(
+        tail.weights > 0, tail.values - tail.vmax[:, None], 0.0))
+    ev = e * tail.values
+    s0 = np.maximum(e.sum(axis=2), 1e-300)
+    s1 = ev.sum(axis=2) / s0
+    s2 = (ev * tail.values).sum(axis=2) / s0
+    k0 = (counts * (theta[:, None] * tail.vmax + np.log(s0))).sum(axis=1)
+    k1 = (counts * s1).sum(axis=1)
+    k2 = (counts * np.maximum(s2 - s1 * s1, 0.0)).sum(axis=1)
+    return k0, k1, k2
+
+
+@st.composite
+def cgf_problems(draw):
+    """Cell tables with absent and weightless atoms, count rows with zeros,
+    and saddlepoints anywhere in [0, THETA_MAX].  Up to 20 atoms, so the
+    sums past 8 atoms, where numpy switches to 8 interleaved partial sums,
+    are drawn too."""
+    n_cells, n_atoms = draw(st.integers(1, 9)), draw(st.integers(1, 20))
+    size = n_cells * n_atoms
+    values = draw(st.lists(st.one_of(st.floats(-30.0, 30.0), st.just(-np.inf)),
+                           min_size=size, max_size=size))
+    logw = draw(st.lists(st.one_of(st.floats(-40.0, 0.0), st.just(-np.inf)),
+                         min_size=size, max_size=size))
+    tail = _CompetitorTail(np.reshape(values, (n_cells, n_atoms)),
+                           np.reshape(logw, (n_cells, n_atoms)))
+    rows = draw(st.integers(1, 6))
+    counts = np.array(draw(st.lists(st.integers(0, 200), min_size=rows * n_cells,
+                                    max_size=rows * n_cells)),
+                      dtype=float).reshape(rows, n_cells)
+    theta = np.array(draw(st.lists(st.floats(0.0, THETA_MAX), min_size=rows,
+                                   max_size=rows)))
+    return tail, theta, counts
+
+
+@SETTINGS
+@given(cgf_problems())
+def test_property_atom_major_moments_are_the_atom_last_ones_bit_for_bit(problem):
+    tail, theta, counts = problem
+    with np.errstate(over="ignore"):
+        got = tail._cgf(theta, counts)
+        want = atom_last_cgf(tail, theta, counts)
+        assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(got, want))
+        k0, k1, k2 = tail._cgf(theta, counts, need_k0=False)
+    assert k0 is None
+    assert np.array_equal(k1, want[1], equal_nan=True)
+    assert np.array_equal(k2, want[2], equal_nan=True)
+
+
+@pytest.mark.parametrize("n_atoms", [1, 3, 7, 8, 9, 15, 16, 17, 127, 128, 129, 200, 300])
+def test_atom_sum_adds_in_numpys_last_axis_order(n_atoms):
+    """Past 128 atoms numpy halves the sum in blocks of 8; magnitudes spread
+    over 60 orders of magnitude make any other order change the last bit."""
+    rng = np.random.default_rng(n_atoms)
+    x = rng.standard_normal((32, 8, n_atoms)) * np.exp(rng.uniform(-70, 70, (32, 8, n_atoms)))
+    planes = np.ascontiguousarray(np.moveaxis(x, 2, 0))
+    assert np.array_equal(simulator._atom_sum(planes), x.sum(axis=2))
+
+
+def _criterion_7_batch(informed, trials, seed):
+    """One saddlepoint batch of criterion-7 style trials: their prefix
+    counts, stacked, and thresholds."""
+    trials = [_AnalyticTrial(*run) for run in _analytic_runs(informed, trials, seed)]
+    return (trials[0].tail, np.vstack([trial.counts for trial in trials]),
+            np.concatenate([trial.thresholds for trial in trials]))
+
+
+@pytest.mark.parametrize("informed", (True, False))
+def test_log_tails_are_the_atom_last_kernels_bit_for_bit(monkeypatch, informed):
+    tail, counts, thresholds = _criterion_7_batch(informed, trials=8, seed=5)
+    got, got_regimes = tail.log_tails(counts, thresholds)
+    monkeypatch.setattr(_CompetitorTail, "_cgf", atom_last_cgf)
+    want, want_regimes = tail.log_tails(counts, thresholds)
+    assert np.array_equal(got, want) and np.array_equal(got_regimes, want_regimes)
+    # the uninformed decoder's true codeword holds the top atom of every
+    # cell, so its rows all sit at the supremum
+    assert (got_regimes == TAIL_REGIMES.index("lugannani_rice")).any() == informed
+
+
+# ---------------------------------------------------------------------------
+# the moments are computed on open rows only
+
+
+def _recording_cgf(monkeypatch):
+    """Patch `_cgf` to record (counts, need_k0) of every call."""
+    calls, cgf = [], _CompetitorTail._cgf
+
+    def record(tail, theta, counts, need_k0=True):
+        calls.append((counts.copy(), need_k0))
+        return cgf(tail, theta, counts, need_k0)
+
+    monkeypatch.setattr(_CompetitorTail, "_cgf", record)
+    return calls
+
+
+def test_overflow_test_and_final_moments_see_only_open_rows(monkeypatch):
+    tail, counts, thresholds = _criterion_7_batch(True, trials=8, seed=5)
+    calls = _recording_cgf(monkeypatch)
+    _, regimes = tail.log_tails(counts, thresholds)
+    overflow = TAIL_REGIMES.index("overflow")
+    assert (regimes < overflow).any() and (regimes > overflow).any()
+    assert not calls[0][1] and np.array_equal(calls[0][0], counts[regimes >= overflow])
+    assert calls[-1][1] and np.array_equal(calls[-1][0], counts[regimes > overflow])
+    # a row past THETA_MAX and an empty row: no solve and no final moments
+    calls.clear()
+    steep = _CompetitorTail(np.array([[0.0, 1.0]]), np.log([1.0 - 1e-200, 1e-200]))
+    steep_counts = np.array([[1.0], [0.0]])
+    _, regimes = steep.log_tails(steep_counts, np.array([1.0 - 1e-7, 1.0]))
+    assert [TAIL_REGIMES[r] for r in regimes] == ["overflow", "empty"]
+    assert len(calls) == 1 and np.array_equal(calls[0][0], steep_counts[:1])
+
+
+def test_rows_settled_before_the_solve_make_no_moment_call(monkeypatch):
+    calls = _recording_cgf(monkeypatch)
+    closed = [case for case in CASES if case[0] != "lugannani_rice"]
+    _, regimes = TAIL.log_tails(np.array([case[1] for case in closed], dtype=float),
+                                np.array([case[2] for case in closed]))
+    assert [TAIL_REGIMES[r] for r in regimes] == [case[0] for case in closed]
+    assert calls == []

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from statehelper import (
+    CapacityError,
     ConditionalDistribution,
     ContractViolationError,
     InfeasibleRateError,
@@ -251,6 +252,37 @@ def test_match_config_validation():
         with pytest.raises(ContractViolationError):
             run_match(make_erasure_game(), make_optimal_erasure_scheme(), rate,
                       MatchConfig(n=8, trials=1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 200), st.floats(0.0, 3.0), st.integers(0, 1 << 24))
+def test_codebook_fit_is_the_count_times_n_test(n, rate, cap):
+    """The exponent-first fit decides as 2^ceil(n*rate) * n <= cap does."""
+    assert simulator._codebook_fits(n, rate, cap) == (codeword_count(n, rate) * n <= cap)
+
+
+def test_large_finite_rate_runs_virtual_without_the_count(monkeypatch, erasure_game,
+                                                          optimal_scheme):
+    """At rate 1e9 the codebook would hold 2^(1.28e11) codewords: the match
+    decides its source from the exponent, never builds that count, and
+    runs every trial on the virtual path."""
+    config = MatchConfig(n=128, trials=2, adversary="decoder_with_state", seed=0)
+    source = simulator._codeword_source(config, 1e9)
+    assert not source.materialized
+    assert source.log_n_codewords == 128_000_000_000 * np.log(2.0)
+
+    def no_codebook(*args, **kwargs):
+        raise AssertionError("a virtual match built a codebook")
+
+    monkeypatch.setattr(simulator, "build_codebook", no_codebook)
+    result = run_match(erasure_game, optimal_scheme, 1e9, config)
+    assert np.all(np.isfinite(result.per_iteration_payoff))
+    assert not result.decode_success.any()  # too many competitors to ever decode
+
+
+def test_build_codebook_refuses_a_large_rate_before_counting():
+    with pytest.raises(CapacityError, match=r"2\^128000000000 sequences"):
+        build_codebook(make_optimal_erasure_scheme(), n=128, rate=1e9, seed=0)
 
 
 def test_encoded_actions_match_scheme_conditionals(erasure_game, optimal_scheme):
@@ -553,10 +585,11 @@ def test_pruned_decoder_breaks_exact_ties_as_the_full_posterior(monkeypatch,
     tables = _SchemeTables(erasure_game, optimal_scheme)
     config = MatchConfig(n=16, trials=300, adversary="decoder_with_state",
                          epsilon=0.1, seed=2)
-    got = simulator._run_trial(tables, config, 0.8, simulator._trial_rng(2, 271),
+    source = simulator._codeword_source(config, 0.8)
+    got = simulator._run_trial(tables, config, source, simulator._trial_rng(2, 271),
                                "decoder_with_state")
     monkeypatch.setattr(simulator, "ExactDecoderAdversary", KeepEveryCandidate)
-    want = simulator._run_trial(tables, config, 0.8, simulator._trial_rng(2, 271),
+    want = simulator._run_trial(tables, config, source, simulator._trial_rng(2, 271),
                                 "decoder_with_state")
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
     assert want[0][2] == 0.0  # the tie went to B's first action
@@ -588,8 +621,8 @@ def test_exact_tie_goes_to_the_lowest_action_whatever_the_rounding(monkeypatch,
 
     monkeypatch.setattr(simulator, "ExactDecoderAdversary", KeptWeightsPosterior)
     monkeypatch.setattr(simulator, "_decoder_play", decoder_play)
-    simulator._run_trial(tables, config, 0.8, simulator._trial_rng(2, 271),
-                         "decoder_with_state")
+    simulator._run_trial(tables, config, simulator._codeword_source(config, 0.8),
+                         simulator._trial_rng(2, 271), "decoder_with_state")
     assert plays[0][0][2] == 0
 
 
@@ -642,11 +675,12 @@ def test_informed_prior_is_the_tilt_against_the_codeword_law(monkeypatch,
             priors.append((np.asarray(candidates), np.asarray(prior_logw)))
 
     monkeypatch.setattr(simulator, "ExactDecoderAdversary", Recording)
+    source = simulator._codeword_source(config, 0.8)
     off_prior = 0
     for trial in range(10):
         priors.clear()
         rng = RecordingRng(simulator._trial_rng(config.seed, trial))
-        simulator._run_trial(tables, config, 0.8, rng, "decoder_with_state")
+        simulator._run_trial(tables, config, source, rng, "decoder_with_state")
         s_seq = rng.choices[0]
         if np.bincount(s_seq, minlength=2)[0] == 8 or not priors:
             continue  # the type is the prior's, or the encoder failed
@@ -669,10 +703,11 @@ def test_failed_materialized_trial_plays_the_marginal(adversary, erasure_game,
     config = MatchConfig(n=10, trials=40, epsilon=0.05, adversary=adversary,
                          b_knows_state=adversary != "decoder", seed=0)
     informed = adversary == "decoder_with_state"
+    source = simulator._codeword_source(config, 0.5)
     failures = 0
     for trial in range(config.trials):
         rng = RecordingRng(simulator._trial_rng(config.seed, trial))
-        pay, decode, failed = simulator._run_trial(tables, config, 0.5, rng, adversary)
+        pay, decode, failed = simulator._run_trial(tables, config, source, rng, adversary)
         if not failed:
             continue
         failures += 1
