@@ -77,10 +77,9 @@ def codeword_count(n: int, rate: float) -> int:
     return 1 << _codeword_bits(n, rate)
 
 
-def _codebook_fits(n, rate, cap):
-    """Whether 2^ceil(n*rate) codewords of n symbols fit the cap, decided on
-    the exponent first so that a large rate never builds the count."""
-    bits = _codeword_bits(n, rate)
+def _codebook_fits(bits, n, cap):
+    """Whether 2^bits codewords of n symbols fit the cap, decided on the
+    exponent first so that a large rate never builds the count."""
     return bits < int(cap).bit_length() and int(n) << bits <= cap
 
 
@@ -97,10 +96,11 @@ def build_codebook(scheme: Scheme, n: int, rate: float, seed: int,
     """
     if n < 1 or not 0 <= rate < np.inf:
         raise ContractViolationError("need n >= 1 and a finite rate >= 0")
-    if not _codebook_fits(n, rate, cap):
-        raise CapacityError(f"codebook of 2^{_codeword_bits(n, rate)} sequences x "
-                            f"{n} symbols exceeds cap {cap}")
-    count = codeword_count(n, rate)
+    bits = _codeword_bits(n, rate)
+    if not _codebook_fits(bits, n, cap):
+        raise CapacityError(f"codebook of 2^{bits} sequences x {n} symbols "
+                            f"exceeds cap {cap}")
+    count = 1 << bits
     if prior is None:
         prior = np.full(scheme.p_u_given_s.from_size,
                         1.0 / scheme.p_u_given_s.from_size)
@@ -756,7 +756,7 @@ class _CodewordSource(NamedTuple):
 def _codeword_source(cfg, rate):
     """The codeword source of a match, decided once from the exponent."""
     bits = _codeword_bits(cfg.n, rate)
-    return _CodewordSource(rate, _codebook_fits(cfg.n, rate, cfg.codebook_cap),
+    return _CodewordSource(rate, _codebook_fits(bits, cfg.n, cfg.codebook_cap),
                            bits * _LOG2)
 
 

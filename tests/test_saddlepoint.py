@@ -416,11 +416,11 @@ def atom_last_cgf(tail, theta, counts, need_k0=True):
 
 @st.composite
 def cgf_problems(draw):
-    """Cell tables with absent and weightless atoms, count rows with zeros,
-    and saddlepoints anywhere in [0, THETA_MAX].  Up to 20 atoms, so the
-    sums past 8 atoms, where numpy switches to 8 interleaved partial sums,
-    are drawn too."""
-    n_cells, n_atoms = draw(st.integers(1, 9)), draw(st.integers(1, 20))
+    """Cell tables with absent atoms (a value or a log weight of -inf, so
+    weight 0), count rows with zeros, and saddlepoints anywhere in
+    [0, THETA_MAX].  Up to 12 atoms, so the sums past 8 atoms, where numpy
+    switches to 8 interleaved partial sums, are drawn too."""
+    n_cells, n_atoms = draw(st.integers(1, 8)), draw(st.integers(1, 12))
     size = n_cells * n_atoms
     values = draw(st.lists(st.one_of(st.floats(-30.0, 30.0), st.just(-np.inf)),
                            min_size=size, max_size=size))
@@ -428,7 +428,7 @@ def cgf_problems(draw):
                          min_size=size, max_size=size))
     tail = _CompetitorTail(np.reshape(values, (n_cells, n_atoms)),
                            np.reshape(logw, (n_cells, n_atoms)))
-    rows = draw(st.integers(1, 6))
+    rows = draw(st.integers(1, 4))
     counts = np.array(draw(st.lists(st.integers(0, 200), min_size=rows * n_cells,
                                     max_size=rows * n_cells)),
                       dtype=float).reshape(rows, n_cells)
@@ -441,14 +441,10 @@ def cgf_problems(draw):
 @given(cgf_problems())
 def test_property_atom_major_moments_are_the_atom_last_ones_bit_for_bit(problem):
     tail, theta, counts = problem
-    with np.errstate(over="ignore"):
-        got = tail._cgf(theta, counts)
-        want = atom_last_cgf(tail, theta, counts)
-        assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(got, want))
-        k0, k1, k2 = tail._cgf(theta, counts, need_k0=False)
-    assert k0 is None
-    assert np.array_equal(k1, want[1], equal_nan=True)
-    assert np.array_equal(k2, want[2], equal_nan=True)
+    want = atom_last_cgf(tail, theta, counts)
+    assert all(np.array_equal(a, b) for a, b in zip(tail._cgf(theta, counts), want))
+    k0, k1, k2 = tail._cgf(theta, counts, need_k0=False)
+    assert k0 is None and np.array_equal(k1, want[1]) and np.array_equal(k2, want[2])
 
 
 @pytest.mark.parametrize("n_atoms", [1, 3, 7, 8, 9, 15, 16, 17, 127, 128, 129, 200, 300])

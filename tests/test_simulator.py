@@ -258,7 +258,8 @@ def test_match_config_validation():
 @given(st.integers(1, 200), st.floats(0.0, 3.0), st.integers(0, 1 << 24))
 def test_codebook_fit_is_the_count_times_n_test(n, rate, cap):
     """The exponent-first fit decides as 2^ceil(n*rate) * n <= cap does."""
-    assert simulator._codebook_fits(n, rate, cap) == (codeword_count(n, rate) * n <= cap)
+    fits = simulator._codebook_fits(simulator._codeword_bits(n, rate), n, cap)
+    assert fits == (codeword_count(n, rate) * n <= cap)
 
 
 def test_large_finite_rate_runs_virtual_without_the_count(monkeypatch, erasure_game,
