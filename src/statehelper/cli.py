@@ -87,6 +87,17 @@ def _parse_signal(spec: str, game: Game) -> SignalFunction:
     return SignalFunction(values, max(values) + 1)
 
 
+def _seed(text):
+    """A --seed value: numpy's generators take only nonnegative integers."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a nonnegative integer")
+    return seed
+
+
 def _open_out(path):
     return open(path, "w", encoding="utf-8", newline="") if path else sys.stdout
 
@@ -178,36 +189,38 @@ def cmd_sweep(args) -> int:
     fixed = None if args.optimize else load_scheme(args.scheme)
     if isinstance(fixed, LayeredScheme):
         raise GameFileError("sweep expects a single-auxiliary scheme file")
+    # one search runs every rate, each from the starts of a one-rate call
+    optimized = (optimize_bound(game, rates, args.b_knows_state, args.card_u,
+                                BoundSearch(seed=args.seed))
+                 if args.optimize and rates else None)
+    lines = ["rate,payoff,alpha\n"]
+    best_scheme = None
+    best_payoff = -np.inf
+    for i, rate in enumerate(rates):
+        if args.optimize:
+            scheme, point = optimized[i]
+            payoff, alpha = point.payoff, point.alpha
+            # a lower-rate optimum stays feasible at higher rates, so the
+            # curve can always carry the best scheme found so far
+            if best_scheme is not None:
+                prev = theorem1_payoff(game, best_scheme, rate, args.b_knows_state)
+                if prev.payoff > payoff:
+                    payoff, alpha, scheme = prev.payoff, prev.alpha, best_scheme
+            if payoff >= best_payoff:
+                best_scheme, best_payoff = scheme, payoff
+        else:
+            point = theorem1_payoff(game, fixed, rate, args.b_knows_state)
+            payoff, alpha = point.payoff, point.alpha
+        if payoff < best_payoff - 1e-9:
+            raise ContractViolationError(
+                f"payoff decreased along the sweep at rate {rate}")
+        best_payoff = max(best_payoff, payoff)
+        lines.append(f"{_fmt(rate)},{_fmt(payoff)},{_fmt(alpha)}\n")
+    # the whole curve is computed before anything is written, so a failed
+    # sweep leaves no partial output
     out = _open_out(args.out)
     try:
-        out.write("rate,payoff,alpha\n")
-        # one search runs every rate, each from the starts of a one-rate call
-        optimized = (optimize_bound(game, rates, args.b_knows_state, args.card_u,
-                                    BoundSearch(seed=args.seed))
-                     if args.optimize and rates else None)
-        best_scheme = None
-        best_payoff = -np.inf
-        for i, rate in enumerate(rates):
-            if args.optimize:
-                scheme, point = optimized[i]
-                payoff, alpha = point.payoff, point.alpha
-                # a lower-rate optimum stays feasible at higher rates, so the
-                # curve can always carry the best scheme found so far
-                if best_scheme is not None:
-                    prev = theorem1_payoff(game, best_scheme, rate,
-                                           args.b_knows_state)
-                    if prev.payoff > payoff:
-                        payoff, alpha, scheme = prev.payoff, prev.alpha, best_scheme
-                if payoff >= best_payoff:
-                    best_scheme, best_payoff = scheme, payoff
-            else:
-                point = theorem1_payoff(game, fixed, rate, args.b_knows_state)
-                payoff, alpha = point.payoff, point.alpha
-            if payoff < best_payoff - 1e-9:
-                raise ContractViolationError(
-                    f"payoff decreased along the sweep at rate {rate}")
-            best_payoff = max(best_payoff, payoff)
-            out.write(f"{_fmt(rate)},{_fmt(payoff)},{_fmt(alpha)}\n")
+        out.write("".join(lines))
     finally:
         _close_out(out)
     return EXIT_OK
@@ -295,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--optimize", action="store_true",
                    help="search for the best scheme instead")
     p.add_argument("--card-u", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", help="write the optimized scheme here")
     p.set_defaults(func=cmd_bound)
 
@@ -306,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme")
     p.add_argument("--optimize", action="store_true")
     p.add_argument("--card-u", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_sweep)
 
@@ -319,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--adversary", default="decoder_with_state", choices=ADVERSARIES)
     p.add_argument("--b-knows-state", action="store_true")
     p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_simulate)
 
@@ -329,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="YAML with a 'joint' matrix, or a game file with --scheme")
     p.add_argument("--scheme", help="scheme inducing the joint from the game")
     p.add_argument("--card-u", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--restarts", type=int, default=CommonInfoSearch().restarts,
                    help="search starts (at least 1), the structured U=S, "
                         "U=A, U=(S,A) and constant-U ones included; a count "

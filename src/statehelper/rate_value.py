@@ -8,7 +8,8 @@ time average of best-response payoff functionals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -154,6 +155,9 @@ class SchemeStats:
     pi_low_su: float
 
 
+_STATS_FIELDS = tuple(f.name for f in fields(SchemeStats))
+
+
 @dataclass(frozen=True)
 class RateValuePoint:
     rate: float
@@ -175,43 +179,70 @@ def _nonneg(x):
     return np.where(x < 0.0, 0.0, x)[()]
 
 
-def _stats_kernel(m, payoff) -> SchemeStats:
+class _stats_kernel:
     """All Theorem-1 inputs from (s, u, a) joints: the one copy of the formulas.
 
     m has shape (..., s, u, a), each (s, u, a) block a nonnegative tensor
     summing to 1 (layered_payoff passes U = U1 and U = (U1, U2) marginals);
-    payoff is indexed [a, b, s].  Each field has m's leading shape, and is a
-    float for a single joint.  Every sum runs within one block, so a stack of
-    joints gives each joint's statistics bit for bit.  Nothing is checked, so
-    callers outside the optimizer and layered_payoff go through
-    scheme_statistics.
+    payoff is indexed [a, b, s].  The result reads like a SchemeStats: each
+    field has m's leading shape, and is a float for a single joint.  The
+    five entropies and the best-response masses are computed at once; each
+    field is formed on first access, so the bound optimizer's objective
+    pays only for the four that _penalized_payoff reads for its B.  Every
+    sum runs within one block, so a stack of joints gives each joint's
+    statistics bit for bit.  Nothing is checked, so callers outside the
+    optimizer and layered_payoff go through scheme_statistics.
     """
-    p_su = m.sum(axis=-1)
-    p_sa = m.sum(axis=-2)
-    p_s = p_su.sum(axis=-1)
-    # one live state: H(S) is 0, not -x log x of a marginal x = 1 +- ulp, and
-    # I(U;S) is exactly 0 (H(U) and H(S,U) sum the same terms, but the zero
-    # cells of the dead states can group those sums differently)
-    several_states = (p_s != 0).sum(axis=-1) > 1
-    h_s = np.where(several_states, _entropy_rows(p_s, 1), 0.0)
-    h_u = _entropy_rows(p_su.sum(axis=-2), 1)
-    h_su = _entropy_rows(p_su, 2)
-    h_sa = _entropy_rows(p_sa, 2)
-    h_sua = _entropy_rows(m, 3)
-    # w[..., u, s, b]: A's payoff mass per (u, s) cell and pure b, summed
-    # over s where B is blind to the state (as payoff_against_pure does, one
-    # contraction serving all four) and over all cells in (s, u) order where
-    # B sees neither: the bound optimizer's path follows pi_low's last bit
-    w = payoff_against_pure(m.swapaxes(-3, -2), payoff, b_sees_state=True)
-    w_su = np.ascontiguousarray(w.swapaxes(-3, -2))
-    return SchemeStats(
-        i_us=np.where(several_states, _nonneg(h_s + h_u - h_su), 0.0)[()],
-        i_usa=_nonneg(h_u + h_sa - h_sua),
-        i_ua_given_s=_nonneg(h_su + h_sa - h_s - h_sua),
-        pi_low=w_su.sum(axis=(-3, -2)).min(axis=-1)[()],
-        pi_low_s=w.sum(axis=-3).min(axis=-1).sum(axis=-1)[()],
-        pi_low_u=w.sum(axis=-2).min(axis=-1).sum(axis=-1)[()],
-        pi_low_su=w.min(axis=-1).sum(axis=(-2, -1))[()])
+
+    def __init__(self, m, payoff):
+        p_su = m.sum(axis=-1)
+        p_sa = m.sum(axis=-2)
+        p_s = p_su.sum(axis=-1)
+        # one live state: H(S) is 0, not -x log x of a marginal x = 1 +- ulp,
+        # and I(U;S) is exactly 0 (H(U) and H(S,U) sum the same terms, but the
+        # zero cells of the dead states can group those sums differently)
+        self._several_states = (p_s != 0).sum(axis=-1) > 1
+        self._h_s = np.where(self._several_states, _entropy_rows(p_s, 1), 0.0)
+        self._h_u = _entropy_rows(p_su.sum(axis=-2), 1)
+        self._h_su = _entropy_rows(p_su, 2)
+        self._h_sa = _entropy_rows(p_sa, 2)
+        self._h_sua = _entropy_rows(m, 3)
+        # w[..., u, s, b]: A's payoff mass per (u, s) cell and pure b, summed
+        # over s where B is blind to the state (as payoff_against_pure does,
+        # one contraction serving all four) and over all cells in (s, u)
+        # order where B sees neither: the bound optimizer's path follows
+        # pi_low's last bit
+        self._w = payoff_against_pure(m.swapaxes(-3, -2), payoff, b_sees_state=True)
+
+    @cached_property
+    def i_us(self):
+        return np.where(self._several_states,
+                        _nonneg(self._h_s + self._h_u - self._h_su), 0.0)[()]
+
+    @cached_property
+    def i_usa(self):
+        return _nonneg(self._h_u + self._h_sa - self._h_sua)
+
+    @cached_property
+    def i_ua_given_s(self):
+        return _nonneg(self._h_su + self._h_sa - self._h_s - self._h_sua)
+
+    @cached_property
+    def pi_low(self):
+        w_su = np.ascontiguousarray(self._w.swapaxes(-3, -2))
+        return w_su.sum(axis=(-3, -2)).min(axis=-1)[()]
+
+    @cached_property
+    def pi_low_s(self):
+        return self._w.sum(axis=-3).min(axis=-1).sum(axis=-1)[()]
+
+    @cached_property
+    def pi_low_u(self):
+        return self._w.sum(axis=-2).min(axis=-1).sum(axis=-1)[()]
+
+    @cached_property
+    def pi_low_su(self):
+        return self._w.min(axis=-1).sum(axis=(-2, -1))[()]
 
 
 def scheme_statistics(game: Game, scheme: Scheme) -> SchemeStats:
@@ -221,8 +252,9 @@ def scheme_statistics(game: Game, scheme: Scheme) -> SchemeStats:
     if scheme.p_a_given_u.to_size != game.n_actions_a:
         raise ContractViolationError("scheme action cardinality does not match game")
     scheme.joint(game.prior)  # validates the prior against the scheme
-    return _stats_kernel(_joint_mass(game.prior, scheme.p_u_given_s.rows,
-                                     scheme.p_a_given_u.rows), game.payoff)
+    stats = _stats_kernel(_joint_mass(game.prior, scheme.p_u_given_s.rows,
+                                      scheme.p_a_given_u.rows), game.payoff)
+    return SchemeStats(**{name: getattr(stats, name) for name in _STATS_FIELDS})
 
 
 def _covering_gap(rate, i_cover):
@@ -368,6 +400,13 @@ def _optimizer_seeds(game: Game, card_u, rng, restarts, b_knows_state):
 # shrink coefficients, and the initial simplex steps
 _NM_RHO, _NM_CHI, _NM_PSI, _NM_SIGMA = 1, 2, 0.5, 0.5
 _NM_NONZDELT, _NM_ZDELT = 0.05, 0.00025
+# scipy's reflection, expansion, outside and inside contraction, each
+# written c_bar * xbar + c_worst * worst (x - c * y and x + (-c) * y agree
+# to the bit)
+_NM_TRIAL_BAR = np.array([[1 + _NM_RHO], [1 + _NM_RHO * _NM_CHI],
+                          [1 + _NM_PSI * _NM_RHO], [1 - _NM_PSI]])
+_NM_TRIAL_WORST = np.array([[-_NM_RHO], [-_NM_RHO * _NM_CHI],
+                            [-_NM_PSI * _NM_RHO], [_NM_PSI]])
 
 
 def _sort_simplices(sim, fsim):
@@ -380,13 +419,16 @@ def _nelder_mead(fun, x0, maxiter, xatol, fatol):
 
     Problem r starts from row r of x0, shape (R, N).  fun(x, rows) returns
     the values at the points x, shape (K, N), point k belonging to problem
-    rows[k].  Each iteration calls fun at most three times for all problems
-    together: the reflections, then the expansions and contractions (one per
-    problem that needs one), then the shrinks.  Per problem this is scipy's
+    rows[k].  Each iteration calls fun once for all problems together, on
+    every problem's four trial points: its reflection, expansion, outside
+    and inside contraction.  scipy's branch rules then pick from these
+    values, and only an iteration in which some problem shrinks calls fun a
+    second time, on the shrunk vertices.  Per problem this is scipy's
     algorithm step for step (same coefficients, initial simplex, argsort
     order, xatol/fatol test and maxiter counted from 1; no maxfev), so when
     fun evaluates each point as it would alone, (x, fun, nit, nfev) equal
-    scipy's row by row.  Problems that converge drop out of the batch.
+    scipy's row by row; nfev counts only the points scipy evaluates.
+    Problems that converge drop out of the batch.
     """
     n_rows, n = x0.shape
     sim = np.repeat(x0[:, None, :], n + 1, axis=1)
@@ -408,43 +450,35 @@ def _nelder_mead(fun, x0, maxiter, xatol, fatol):
         active, sim, fsim = active[~done], sim[~done], fsim[~done]
 
     while active.size and iterations < maxiter:
-        done = ((np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= xatol)
-                & (np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= fatol))
+        done = np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= fatol
         if done.any():
+            done &= np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= xatol
             retire(done)
             if not active.size:
                 break
         xbar = np.add.reduce(sim[:, :-1], 1) / n
         worst = sim[:, -1]
-        new_x = (1 + _NM_RHO) * xbar - _NM_RHO * worst  # the reflections
-        new_f = fun(new_x, active)
-        nfev[active] += 1
-        # scipy's branches: a reflection below the best tries an expansion; one
-        # not below the second worst an outside contraction if it is below the
-        # worst, else an inside one; the rows that try one evaluate together
-        expand = new_f < fsim[:, 0]
-        contract = ~expand & ~(new_f < fsim[:, -2])
-        outside = contract & (new_f < fsim[:, -1])
-        second = np.flatnonzero(expand | contract)
-        shrink = second[:0]
-        if second.size:
-            e, o = expand[second], outside[second]
-            # scipy's three formulas, each as c_bar * xbar + c_worst * worst
-            c_bar = np.where(e, 1 + _NM_RHO * _NM_CHI,
-                             np.where(o, 1 + _NM_PSI * _NM_RHO, 1 - _NM_PSI))
-            c_worst = np.where(e, -_NM_RHO * _NM_CHI,
-                               np.where(o, -_NM_PSI * _NM_RHO, _NM_PSI))
-            x2 = c_bar[:, None] * xbar[second] + c_worst[:, None] * worst[second]
-            f2 = fun(x2, active[second])
-            nfev[active[second]] += 1
-            f_r = new_f[second]
-            take = np.where(e, f2 < f_r,
-                            np.where(o, f2 <= f_r, f2 < fsim[second, -1]))
-            new_x[second[take]], new_f[second[take]] = x2[take], f2[take]
-            # a failed contraction shrinks the simplex, worst vertex included
-            shrink = second[~take & ~e]
-            new_x[shrink], new_f[shrink] = worst[shrink], fsim[shrink, -1]
-        sim[:, -1], fsim[:, -1] = new_x, new_f
+        # every problem's reflection, expansion, outside and inside
+        # contraction, shape (problems, 4, N), in one call
+        trial = _NM_TRIAL_BAR * xbar[:, None] + _NM_TRIAL_WORST * worst[:, None]
+        f_trial = fun(trial.reshape(-1, n), np.repeat(active, 4)).reshape(-1, 4)
+        f_r, f_e, f_oc, f_ic = f_trial.T
+        # scipy's branches: a reflection below the best keeps the better of
+        # it and the expansion; one below the second worst stays; else the
+        # outside contraction is tried if the reflection is below the worst,
+        # the inside one if not, and a failed contraction (-1) shrinks
+        expand = f_r < fsim[:, 0]
+        reflect = ~expand & (f_r < fsim[:, -2])
+        pick = np.where(expand, f_e < f_r, np.where(reflect, 0, np.where(
+            f_r < fsim[:, -1], np.where(f_oc <= f_r, 2, -1),
+            np.where(f_ic < fsim[:, -1], 3, -1))))
+        nfev[active] += np.where(reflect, 1, 2)  # scipy's evaluations only
+        shrink = pick < 0
+        # a shrink keeps the worst vertex, and shrinks it with the others
+        at = np.arange(active.size), pick
+        sim[:, -1] = np.where(shrink[:, None], worst, trial[at])
+        fsim[:, -1] = np.where(shrink, fsim[:, -1], f_trial[at])
+        shrink = np.flatnonzero(shrink)
         if shrink.size:
             best = sim[shrink, :1]
             points = best + _NM_SIGMA * (sim[shrink, 1:] - best)
@@ -496,13 +530,17 @@ def optimize_bound(game: Game, rate, b_knows_state: bool, card_u: int,
 
     ends = _nelder_mead(neg_obj, np.tile(starts, (rates.size, 1)), search.iterations,
                         xatol=1e-8, fatol=1e-12)[0]
+
+    def checked(theta):
+        scheme = _scheme_from_logits(theta, ns, card_u, na)
+        return scheme, scheme_statistics(game, scheme)
+
+    start_checks = [checked(theta0) for theta0 in starts]  # the same at every rate
     results = []
     for i, r in enumerate(rates):
         best_scheme, best_obj = None, -np.inf
-        for theta0, theta in zip(starts, ends[i * n_starts:(i + 1) * n_starts]):
-            for candidate in (theta0, theta):
-                scheme = _scheme_from_logits(candidate, ns, card_u, na)
-                stats = scheme_statistics(game, scheme)
+        for start, theta in zip(start_checks, ends[i * n_starts:(i + 1) * n_starts]):
+            for scheme, stats in (start, checked(theta)):
                 obj = _penalized_payoff(stats, r, b_knows_state)
                 # only a scheme the encoder can carry certifies its payoff;
                 # the constant-U start always can

@@ -404,7 +404,8 @@ class _CompetitorTail:
         atom = np.isfinite(cell_values) & np.isfinite(log_w)
         self.values = np.where(atom, cell_values, 0.0)
         self.weights = np.where(atom, np.exp(log_w), 0.0)
-        self.reachable = atom.any(axis=1)
+        # a finite log weight can still underflow to weight 0
+        self.reachable = (self.weights > 0).any(axis=1)
         self.vmax = self.values.max(axis=1, where=self.weights > 0,
                                     initial=-np.inf)
         self.vmax = np.where(self.reachable, self.vmax, 0.0)

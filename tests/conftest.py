@@ -2,8 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from statehelper import ConditionalDistribution, Game, Scheme
+
+# A failing property prints its @reproduce_failure blob, so a CI failure can
+# be replayed.  Loaded here, before any test module builds its settings
+# (which start from the loaded profile); examples, counts and deadlines stay
+# hypothesis's defaults.
+settings.register_profile("statehelper", print_blob=True)
+settings.load_profile("statehelper")
 
 FORBIDDEN = -1e6
 

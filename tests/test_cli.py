@@ -194,6 +194,20 @@ def test_sweep_optimize_prints_the_one_rate_bounds(erasure_file, capsys,
     assert rows == expected
 
 
+def test_failed_sweep_writes_nothing(erasure_file, tmp_path, capsys):
+    """The search runs before any output is opened: no header on stdout and
+    no file from --out when it fails."""
+    argv = ["sweep", erasure_file, "--rates", "0.3:0.7:0.4", "--optimize",
+            "--card-u", "0"]
+    assert main(argv) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: card_u must be >= 1\n"
+    out_path = tmp_path / "curve.csv"
+    assert main(argv + ["--out", str(out_path)]) == cli.EXIT_PARSE
+    assert not out_path.exists()
+
+
 def test_sweep_empty_range_header_only(erasure_file, scheme_file, capsys):
     assert main(["sweep", erasure_file, "--rates", "0.9:0.5:0.1",
                  "--scheme", scheme_file]) == 0
@@ -224,6 +238,24 @@ def test_non_finite_rates_and_epsilons_are_refused(argv, erasure_file, scheme_fi
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "{game}", "--rate", "0.5", "--optimize", "--card-u", "2"],
+    ["sweep", "{game}", "--rates", "0.3:0.7:0.4", "--optimize", "--card-u", "2"],
+    ["simulate", "{game}", "{scheme}", "--rate", "0.7", "--n", "8", "--trials", "1"],
+    ["common-info", "{game}", "--scheme", "{scheme}", "--card-u", "3"],
+])
+def test_negative_seed_is_a_parse_error(argv, erasure_file, scheme_file, capsys):
+    """numpy's generators refuse negative seeds; the parser refuses them
+    first, with one error line and no traceback."""
+    argv = [arg.format(game=erasure_file, scheme=scheme_file) for arg in argv]
+    assert main(argv + ["--seed", "-1"]) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error" in line]
+    assert len(errors) == 1 and "--seed" in errors[0], captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_simulate_csv_deterministic(erasure_file, scheme_file, capsys):

@@ -562,8 +562,8 @@ def test_scheme_statistics_rejects_mismatched_cardinalities(erasure_game):
 
 def test_optimize_bound_checks_only_start_points(monkeypatch, erasure_game):
     """The search evaluates the kernel on batches of points; the checked
-    statistics run twice per start point (its start and its optimum) and once
-    for the winner."""
+    statistics run once per start, once per (rate, start) optimum and once
+    for each rate's winner."""
     calls = {"stats": 0, "starts": 0, "evaluations": 0}
     checked = rate_value.scheme_statistics
     kernel, nelder_mead = rate_value._stats_kernel, rate_value._nelder_mead
@@ -590,6 +590,13 @@ def test_optimize_bound_checks_only_start_points(monkeypatch, erasure_game):
         assert calls["starts"] == 4
         assert calls["stats"] <= 2 * calls["starts"] + 1
         assert calls["evaluations"] > calls["stats"]
+        # two rates: each start is checked once for both, each end and
+        # each rate's winner once
+        calls.update(stats=0, starts=0)
+        optimize_bound(erasure_game, [0.3, 0.7], informed, card_u=3,
+                       search=BoundSearch(restarts=4, iterations=60))
+        assert calls["starts"] == 4 * 2
+        assert calls["stats"] == 4 + 4 * 2 + 2
 
 
 def _nelder_mead_problems(n):
@@ -660,6 +667,34 @@ def test_lockstep_nelder_mead_orders_ties_as_scipy():
     assert unstable > 0
     _assert_scipy_row_by_row(fun, x0, 60, 1e-4, 1e-4)
 
+
+
+def test_lockstep_nelder_mead_calls_fun_once_per_iteration():
+    """One call for the first simplex, one per iteration on every active
+    problem's four trial points, and one more only in an iteration that
+    shrinks, on the shrunk vertices alone."""
+    n, maxiter = 3, 120
+    fun, x0 = _nelder_mead_problems(n)
+    calls = []
+
+    def recording(x, rows):
+        calls.append(rows.copy())
+        return fun(x, rows)
+
+    nit = _nelder_mead(recording, x0, maxiter, 1e-4, 1e-4)[2]
+    assert np.array_equal(calls[0], np.repeat(np.arange(len(x0)), n + 1))
+    steps, shrinks, after_step = 0, 0, False
+    for rows in calls[1:]:
+        active = rows[::4]
+        if rows.size % 4 == 0 and np.array_equal(rows, np.repeat(active, 4)) \
+                and (np.diff(active) > 0).all():
+            steps, after_step = steps + 1, True
+        else:  # the shrink call follows its iteration's step call
+            assert after_step and rows.size % n == 0
+            assert np.array_equal(rows, np.repeat(rows[::n], n))
+            shrinks, after_step = shrinks + 1, False
+    assert steps == nit.max() - 1
+    assert shrinks > 0 and len(calls) == 1 + steps + shrinks
 
 # ---------------------------------------------------------------------------
 # zero-mass symbols and degenerate layers

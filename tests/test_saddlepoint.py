@@ -148,6 +148,22 @@ def test_empty_counts_give_certainty_or_nothing():
     assert got[0] == 0.0 and got[1] == -np.inf
 
 
+def test_a_cell_whose_weights_all_underflow_is_unreachable():
+    """A log weight of -800 is finite, but exp(-800) is 0: no competitor can
+    occupy cell 1, so a prefix that does settles as unreachable, and no tail
+    or moment of any row is NaN."""
+    tail = _CompetitorTail(np.array([[0.0, 1.0], [0.5, 2.0]]),
+                           np.array([np.log([0.5, 0.5]), [-800.0, -800.0]]))
+    assert tail.reachable.tolist() == [True, False]
+    counts = np.array([[3.0, 1.0], [3.0, 0.0], [3.0, 0.0]])
+    got, regimes = tail.log_tails(counts, np.array([1.0, 2.0, 1.0]))
+    assert [TAIL_REGIMES[r] for r in regimes] == ["unreachable", "lugannani_rice",
+                                                 "bulk"]
+    assert got[0] == -np.inf and not np.isnan(got).any()
+    for moment in tail._cgf(np.array([0.0, 1.0, 5.0]), counts):
+        assert not np.isnan(moment).any()
+
+
 def test_at_sup_is_the_mass_at_the_largest_atoms():
     got, _ = TAIL.log_tails(np.array([[3.0, 2.0, 0.0]]), np.array([7.0]))
     assert abs(got[0] - np.log(0.5 ** 3 * 0.1 ** 2)) <= 1e-12
