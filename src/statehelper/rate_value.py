@@ -407,6 +407,12 @@ _NM_TRIAL_BAR = np.array([[1 + _NM_RHO], [1 + _NM_RHO * _NM_CHI],
                           [1 + _NM_PSI * _NM_RHO], [1 - _NM_PSI]])
 _NM_TRIAL_WORST = np.array([[-_NM_RHO], [-_NM_RHO * _NM_CHI],
                             [-_NM_PSI * _NM_RHO], [_NM_PSI]])
+# the largest batch, in active problems x coordinates, whose four trial
+# points go to fun in one call.  Evaluating all four saves the second call
+# of an iteration but triples the points; that pays only while a call's
+# fixed cost outweighs its work per point, as for the bound objective's
+# small batches (see _nelder_mead)
+_NM_ONE_CALL_SIZE = 320
 
 
 def _sort_simplices(sim, fsim):
@@ -419,11 +425,17 @@ def _nelder_mead(fun, x0, maxiter, xatol, fatol):
 
     Problem r starts from row r of x0, shape (R, N).  fun(x, rows) returns
     the values at the points x, shape (K, N), point k belonging to problem
-    rows[k].  Each iteration calls fun once for all problems together, on
-    every problem's four trial points: its reflection, expansion, outside
-    and inside contraction.  scipy's branch rules then pick from these
-    values, and only an iteration in which some problem shrinks calls fun a
-    second time, on the shrunk vertices.  Per problem this is scipy's
+    rows[k].  While the active problems times N is at most
+    _NM_ONE_CALL_SIZE, an iteration calls fun once on every active
+    problem's four trial points (reflection, expansion, outside and inside
+    contraction), and scipy's branch rules pick from these values.  A
+    larger batch calls fun on the reflections, then on the one second point
+    each problem that needs one tries: fewer points in two calls.  The
+    bound objective costs about 80 us per call plus 0.15 us per point and
+    coordinate, so the one-call form wins up to about 250-400 (measured on
+    games with N from 8 to 24) and loses beyond.  An
+    iteration in which some problem shrinks calls fun once more, on the
+    shrunk vertices.  Per problem this is scipy's
     algorithm step for step (same coefficients, initial simplex, argsort
     order, xatol/fatol test and maxiter counted from 1; no maxfev), so when
     fun evaluates each point as it would alone, (x, fun, nit, nfev) equal
@@ -459,25 +471,37 @@ def _nelder_mead(fun, x0, maxiter, xatol, fatol):
         xbar = np.add.reduce(sim[:, :-1], 1) / n
         worst = sim[:, -1]
         # every problem's reflection, expansion, outside and inside
-        # contraction, shape (problems, 4, N), in one call
+        # contraction, shape (problems, 4, N)
         trial = _NM_TRIAL_BAR * xbar[:, None] + _NM_TRIAL_WORST * worst[:, None]
-        f_trial = fun(trial.reshape(-1, n), np.repeat(active, 4)).reshape(-1, 4)
-        f_r, f_e, f_oc, f_ic = f_trial.T
-        # scipy's branches: a reflection below the best keeps the better of
-        # it and the expansion; one below the second worst stays; else the
-        # outside contraction is tried if the reflection is below the worst,
-        # the inside one if not, and a failed contraction (-1) shrinks
+        one_call = active.size * n <= _NM_ONE_CALL_SIZE
+        if one_call:
+            f_trial = fun(trial.reshape(-1, n), np.repeat(active, 4)).reshape(-1, 4)
+            f_r = f_trial[:, 0]
+        else:
+            f_r = fun(trial[:, 0], active)
+        # scipy's branches: a reflection below the best tries the expansion;
+        # one below the second worst stays; else the outside contraction is
+        # tried if the reflection is below the worst, the inside one if not
         expand = f_r < fsim[:, 0]
         reflect = ~expand & (f_r < fsim[:, -2])
-        pick = np.where(expand, f_e < f_r, np.where(reflect, 0, np.where(
-            f_r < fsim[:, -1], np.where(f_oc <= f_r, 2, -1),
-            np.where(f_ic < fsim[:, -1], 3, -1))))
+        second = np.where(expand, 1, np.where(f_r < fsim[:, -1], 2, 3))
+        at = np.arange(active.size), second
+        if one_call:
+            f_2 = f_trial[at]
+        else:  # only the second points scipy evaluates, in a second call
+            f_2, tries = f_r.copy(), np.flatnonzero(~reflect)
+            if tries.size:
+                f_2[tries] = fun(trial[tries, second[tries]], active[tries])
         nfev[active] += np.where(reflect, 1, 2)  # scipy's evaluations only
-        shrink = pick < 0
-        # a shrink keeps the worst vertex, and shrinks it with the others
-        at = np.arange(active.size), pick
-        sim[:, -1] = np.where(shrink[:, None], worst, trial[at])
-        fsim[:, -1] = np.where(shrink, fsim[:, -1], f_trial[at])
+        # the expansion if below the reflection, an outside contraction if
+        # not above it, an inside one if below the worst; a failed
+        # contraction shrinks the simplex, keeping the worst vertex
+        take = ~reflect & np.where(expand, f_2 < f_r, np.where(
+            second == 2, f_2 <= f_r, f_2 < fsim[:, -1]))
+        shrink = ~reflect & ~expand & ~take
+        sim[:, -1] = np.where(shrink[:, None], worst,
+                              trial[at[0], np.where(take, second, 0)])
+        fsim[:, -1] = np.where(shrink, fsim[:, -1], np.where(take, f_2, f_r))
         shrink = np.flatnonzero(shrink)
         if shrink.size:
             best = sim[shrink, :1]

@@ -668,7 +668,6 @@ def test_lockstep_nelder_mead_orders_ties_as_scipy():
     _assert_scipy_row_by_row(fun, x0, 60, 1e-4, 1e-4)
 
 
-
 def test_lockstep_nelder_mead_calls_fun_once_per_iteration():
     """One call for the first simplex, one per iteration on every active
     problem's four trial points, and one more only in an iteration that
@@ -695,6 +694,33 @@ def test_lockstep_nelder_mead_calls_fun_once_per_iteration():
             shrinks, after_step = shrinks + 1, False
     assert steps == nit.max() - 1
     assert shrinks > 0 and len(calls) == 1 + steps + shrinks
+
+
+def test_lockstep_nelder_mead_large_batches_evaluate_only_scipys_points(monkeypatch):
+    """Past _NM_ONE_CALL_SIZE an iteration calls fun on every active
+    problem's reflection, then on the second points of the problems that
+    try one, then on the shrunk vertices: each point scipy evaluates is
+    evaluated once, and the result is still scipy's row by row."""
+    n, maxiter = 3, 120
+    fun, x0 = _nelder_mead_problems(n)
+    monkeypatch.setattr(rate_value, "_NM_ONE_CALL_SIZE", 0)
+    nit, nfev = _assert_scipy_row_by_row(fun, x0, maxiter, 1e-4, 1e-4)
+    calls = []
+
+    def recording(x, rows):
+        calls.append(rows.copy())
+        return fun(x, rows)
+
+    _nelder_mead(recording, x0, maxiter, 1e-4, 1e-4)
+    assert sum(rows.size for rows in calls) == nfev.sum()
+    # the reflections, second points and shrinks of one iteration each
+    # take an increasing set of problems (a shrink n vertices apiece)
+    steps = 0
+    for rows in calls[1:]:
+        assert (np.diff(rows) >= 0).all()
+        steps += rows.size == np.unique(rows).size
+    assert nit.max() - 1 <= steps <= 2 * (nit.max() - 1)
+
 
 # ---------------------------------------------------------------------------
 # zero-mass symbols and degenerate layers
