@@ -433,14 +433,14 @@ def _nelder_mead(fun, x0, maxiter, xatol, fatol):
     each problem that needs one tries: fewer points in two calls.  The
     bound objective costs about 80 us per call plus 0.15 us per point and
     coordinate, so the one-call form wins up to about 250-400 (measured on
-    games with N from 8 to 24) and loses beyond.  An
-    iteration in which some problem shrinks calls fun once more, on the
-    shrunk vertices.  Per problem this is scipy's
-    algorithm step for step (same coefficients, initial simplex, argsort
-    order, xatol/fatol test and maxiter counted from 1; no maxfev), so when
-    fun evaluates each point as it would alone, (x, fun, nit, nfev) equal
-    scipy's row by row; nfev counts only the points scipy evaluates.
-    Problems that converge drop out of the batch.
+    games with N from 8 to 24) and loses beyond.  An iteration in which
+    some problem shrinks calls fun once more, on the shrunk vertices.  Per
+    problem this is scipy's algorithm step for step (same coefficients,
+    initial simplex, argsort order, xatol/fatol test and maxiter counted
+    from 1; no maxfev), so when fun evaluates each point as it would
+    alone, (x, fun, nit, nfev) equal scipy's row by row; nfev counts only
+    the points scipy evaluates.  Problems that converge drop out of the
+    batch.
     """
     n_rows, n = x0.shape
     sim = np.repeat(x0[:, None, :], n + 1, axis=1)
