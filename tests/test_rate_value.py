@@ -669,11 +669,12 @@ def test_lockstep_nelder_mead_orders_ties_as_scipy():
 
 
 def test_lockstep_nelder_mead_calls_fun_once_per_iteration():
-    """One call for the first simplex, one per iteration on every active
-    problem's four trial points, and one more only in an iteration that
-    shrinks, on the shrunk vertices alone."""
+    """Within _NM_ONE_CALL_SIZE: one call for the first simplex, one per
+    iteration on every active problem's four trial points, and one more only
+    in an iteration that shrinks, on the shrunk vertices alone."""
     n, maxiter = 3, 120
     fun, x0 = _nelder_mead_problems(n)
+    assert len(x0) * n <= rate_value._NM_ONE_CALL_SIZE
     calls = []
 
     def recording(x, rows):
