@@ -9,6 +9,7 @@ computation, 4 capacity exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -45,17 +46,20 @@ EXIT_INFEASIBLE = 3
 EXIT_CAPACITY = 4
 
 
-def _parse_signal(spec: str, game: Game) -> SignalFunction:
-    """Turn an --a-info/--b-info flag value into a signal function.
+def _parse_signal(spec: str, game: Game):
+    """Turn an --a-info/--b-info flag value into a signal function and the
+    label of each of its signals.
 
     "none" observes nothing, "state" observes the state exactly, and
     "signal:0:0,1:1" maps comma-separated state:signal pairs (states by
-    label or index, signals as nonnegative integers).
+    label or index, each once; signals labelled by nonnegative integers).
+    The distinct labels, in increasing order, become signals 0..k-1, so a
+    label no state is mapped to adds no signal.
     """
     if spec == "none":
-        return SignalFunction.constant(game.n_states)
+        return SignalFunction.constant(game.n_states), (0,)
     if spec == "state":
-        return SignalFunction.identity(game.n_states)
+        return SignalFunction.identity(game.n_states), tuple(range(game.n_states))
     if not spec.startswith("signal:"):
         raise GameFileError(
             f"info spec {spec!r} must be 'none', 'state', or 'signal:<map>'")
@@ -74,6 +78,8 @@ def _parse_signal(spec: str, game: Game) -> SignalFunction:
                 raise GameFileError(f"unknown state {state_part!r} in signal map")
         if not 0 <= s < game.n_states:
             raise GameFileError(f"state index {s} out of range in signal map")
+        if s in mapping:
+            raise GameFileError(f"state {state_part!r} appears twice in signal map")
         try:
             mapping[s] = int(signal_part)
         except ValueError:
@@ -84,7 +90,8 @@ def _parse_signal(spec: str, game: Game) -> SignalFunction:
     values = tuple(mapping[s] for s in range(game.n_states))
     if min(values) < 0:
         raise GameFileError("signals must be nonnegative integers")
-    return SignalFunction(values, max(values) + 1)
+    labels = tuple(sorted(set(values)))
+    return SignalFunction(tuple(labels.index(v) for v in values), len(labels)), labels
 
 
 def _seed(text):
@@ -113,17 +120,18 @@ def _fmt(x):
 
 def cmd_value(args) -> int:
     game = load_game(args.game_file)
-    f_a = _parse_signal(args.a_info, game)
-    f_b = _parse_signal(args.b_info, game)
+    f_a, labels_a = _parse_signal(args.a_info, game)
+    f_b, labels_b = _parse_signal(args.b_info, game)
     result = game_value(game, f_a, f_b)
     print(f"value: {_fmt(result.value)}")
     print(f"lp_gap: {_fmt(result.lp_gap)}")
-    for label, strat, actions in (("A", result.strategy_a, game.actions_a),
-                                  ("B", result.strategy_b, game.actions_b)):
-        print(f"strategy_{label} (rows per observed signal; columns "
+    for player, strat, actions, labels in (
+            ("A", result.strategy_a, game.actions_a, labels_a),
+            ("B", result.strategy_b, game.actions_b, labels_b)):
+        print(f"strategy_{player} (rows per observed signal; columns "
               f"{', '.join(actions)}):")
-        for g, row in enumerate(strat.rows):
-            print(f"  signal {g}: " + " ".join(_fmt(x) for x in row))
+        for label, row in zip(labels, strat.rows):
+            print(f"  signal {label}: " + " ".join(_fmt(x) for x in row))
     return EXIT_OK
 
 
@@ -360,10 +368,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main builds its parser on first use and reuses it for every later call in
+# the process (a benchmark round makes 38)
+_main_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _main_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -85,6 +85,37 @@ def test_value_rejects_bad_signal_spec(erasure_file, capsys):
     assert "misses states" in capsys.readouterr().err
 
 
+def test_a_state_listed_twice_is_a_parse_error(erasure_file, capsys):
+    """The last entry used to win silently: this map solved {0: 1, 1: 0}."""
+    assert main(["value", erasure_file, "--a-info", "signal:0:0,0:1,1:0"]) == 2
+    assert "appears twice" in capsys.readouterr().err
+
+
+def _value_output(argv, capsys):
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+def test_signal_labels_are_not_indices(erasure_file, capsys):
+    """Signals are the distinct labels in increasing order, each row printed
+    with its label: label 1 alone is one signal (it used to add an empty
+    signal 0 to the LP and print its row), and label 10**9 costs nothing
+    (it used to ask for an LP row per label value up to it)."""
+    value = ["value", erasure_file]
+    blind = _value_output(value, capsys)
+    one = _value_output(value + ["--a-info", "signal:0:1,1:1"], capsys)
+    assert one == blind.replace("  signal 0:", "  signal 1:", 1)
+    informed = _value_output(value + ["--b-info", "state"], capsys)
+    far = _value_output(value + ["--b-info", "signal:0:1000000000,1:7"], capsys)
+    assert abs(_line_value(far, "value") - _line_value(informed, "value")) < 1e-9
+    rows = [line.split(":")[0].strip() for line in far.splitlines()
+            if line.startswith("  signal")]
+    assert rows == ["signal 0", "signal 7", "signal 1000000000"]
+    # labels that are already 0..k-1 print as before, byte for byte
+    assert _value_output(value + ["--a-info", "signal:0:0,1:1"], capsys) \
+        == _value_output(value + ["--a-info", "state"], capsys)
+
+
 def test_bound_scheme_report(erasure_file, scheme_file, capsys):
     assert main(["bound", erasure_file, "--rate", "0.655639",
                  "--b-knows-state", "--scheme", scheme_file]) == 0
@@ -377,3 +408,26 @@ def test_capacity_exit_code(tmp_path, capsys, monkeypatch, scheme_file, erasure_
 
 def test_unknown_subcommand_exit_code(capsys):
     assert main(["frobnicate"]) == 2
+
+
+def test_a_failed_parse_leaves_the_reused_parser_as_it_was(erasure_file, scheme_file,
+                                                             capsys):
+    """main parses every call with one parser.  A call whose options fail to
+    parse (a --card-u that is no integer, after an --optimize) must not
+    change what two other subcommands parse next: each reads as it does on a
+    parser built for it alone."""
+    calls = [["value", erasure_file, "--a-info", "state"],
+             ["sweep", erasure_file, "--rates", "0.6:0.8:0.1", "--scheme", scheme_file]]
+    fresh = []
+    for argv in calls:
+        args = cli.build_parser().parse_args(argv)
+        assert args.func(args) == 0
+        fresh.append(capsys.readouterr().out)
+    assert main(["bound", erasure_file, "--rate", "0.5", "--optimize",
+                 "--card-u", "x"]) == 2
+    capsys.readouterr()
+    for argv, want in zip(calls, fresh):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == want
+    assert vars(cli._main_parser().parse_args(calls[1])) \
+        == vars(cli.build_parser().parse_args(calls[1]))
