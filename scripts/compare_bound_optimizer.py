@@ -13,15 +13,19 @@ process on the same cases:
   `BoundSearch(restarts=N)` (80 cases);
 - the `sweep --optimize` calls of the benchmark's `analyze` workload at
   seeds 201-203 and 401-410, run through `statehelper.cli.main` on the
-  inputs `bench/workloads.py` writes.
+  inputs `bench/workloads.py` writes;
+- two large batches: `sweep --optimize --card-u 4 --rates 0.5:0.82:0.02`
+  on the erasure game, with B informed and uninformed, each 17 rates x 8
+  starts = 136 problems of 20 logits, so past `_NM_ONE_CALL_SIZE`.
 
-The baseline calls `optimize_bound` once per grid rate; this checkout
-passes the five rates of each (game, B, |U|) triple to one call.  A case
-is bit-identical when payoff, alpha and both scheme matrices (or a sweep's
+Both sides make the same calls: one `optimize_bound` call with the five
+rates of each (game, B, |U|) triple, and the same CLI calls.  A case is
+bit-identical when payoff, alpha and both scheme matrices (or a sweep's
 printed output) are equal to the last bit, within 1e-9 when no payoff or
 alpha differs by more than 1e-9, and moved otherwise.  Prints one JSON
 line per moved case, then a summary with the counts and the seconds each
-side spent in the grid and in the sweeps.  Takes about a minute.
+side spent in the grid, in the benchmark's sweeps and in each large
+sweep.  Takes about a minute.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ ROOT = Path(__file__).resolve().parent.parent
 HERE_SRC = ROOT / "src"
 GRID_RATES = (0.2, 0.5, 0.8, 1.1, 1.5)
 SWEEP_SEEDS = (201, 202, 203) + tuple(range(401, 411))
+LARGE_SWEEP = ["--optimize", "--card-u", "4", "--rates", "0.5:0.82:0.02"]
 CLOSE = 1e-9
 
 
@@ -57,19 +62,24 @@ def grid_games():
 
 
 def sweep_calls(directory):
-    """(seed, argv) of every `sweep` call of the benchmark's analyze rounds."""
+    """(case, argv) of every `sweep` call of the benchmark's analyze rounds,
+    then of the two large sweeps on the erasure game those rounds write."""
     spec = importlib.util.spec_from_file_location("workloads", ROOT / "bench" / "workloads.py")
     workloads = sys.modules["workloads"] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     out = []
     for seed in SWEEP_SEEDS:
         inputs = workloads.write_inputs("analyze", seed, str(Path(directory) / str(seed)))
-        out += [(seed, call.argv) for call in workloads.calls("analyze", seed, inputs)
-                if call.kind == "sweep"]
+        out += [(["sweep", seed], call.argv)
+                for call in workloads.calls("analyze", seed, inputs) if call.kind == "sweep"]
+    for informed in (True, False):
+        out.append((["large_sweep", "informed" if informed else "uninformed"],
+                    ["sweep", inputs.files["erasure"]] + LARGE_SWEEP
+                    + ["--b-knows-state"] * informed))
     return out
 
 
-def run_side(src, restarts, batch):
+def run_side(src, restarts):
     """One JSON record per case, then one with the timings."""
     sys.path.insert(0, str(src))
     from statehelper import BoundSearch, optimize_bound
@@ -79,35 +89,31 @@ def run_side(src, restarts, batch):
     for name, game in grid_games().items():
         for informed in (False, True):
             for card_u in (2, 3):
-                if batch:
-                    found = optimize_bound(game, list(GRID_RATES), informed, card_u, search)
-                else:
-                    found = [optimize_bound(game, rate, informed, card_u, search)
-                             for rate in GRID_RATES]
+                found = optimize_bound(game, list(GRID_RATES), informed, card_u, search)
                 for rate, (scheme, point) in zip(GRID_RATES, found):
                     print(json.dumps({
                         "case": [name, informed, card_u, rate], "payoff": point.payoff,
                         "alpha": point.alpha,
                         "p_u_given_s": scheme.p_u_given_s.rows.tolist(),
                         "p_a_given_u": scheme.p_a_given_u.rows.tolist()}))
-    grid_s = time.perf_counter() - start
-    sweep_s = 0.0
+    seconds = {"grid_s": time.perf_counter() - start, "sweep_s": 0.0}
     with tempfile.TemporaryDirectory() as tmp:
-        for seed, argv in sweep_calls(tmp):
+        for case, argv in sweep_calls(tmp):
             text = io.StringIO()
             start = time.perf_counter()
             with contextlib.redirect_stdout(text):
                 code = cli_main(argv)
-            sweep_s += time.perf_counter() - start
-            print(json.dumps({"case": ["sweep", seed], "exit": code,
-                              "output": text.getvalue()}))
-    print(json.dumps({"grid_s": grid_s, "sweep_s": sweep_s}))
+            elapsed = time.perf_counter() - start
+            if case[0] == "sweep":
+                seconds["sweep_s"] += elapsed
+            else:
+                seconds[f"large_sweep_{case[1]}_s"] = elapsed
+            print(json.dumps({"case": case, "exit": code, "output": text.getvalue()}))
+    print(json.dumps(seconds))
 
 
-def collect(src, restarts, batch):
+def collect(src, restarts):
     cmd = [sys.executable, __file__, "--side", str(src), "--restarts", str(restarts)]
-    if batch:
-        cmd.append("--batch")
     out = subprocess.run(cmd, check=True, capture_output=True, text=True).stdout
     return [json.loads(line) for line in out.splitlines()]
 
@@ -137,13 +143,12 @@ def main():
     ap.add_argument("baseline_src", nargs="?")
     ap.add_argument("--side")
     ap.add_argument("--restarts", type=int, default=4)
-    ap.add_argument("--batch", action="store_true")
     args = ap.parse_args()
     if args.side:
-        run_side(args.side, args.restarts, args.batch)
+        run_side(args.side, args.restarts)
         return
-    baseline = collect(args.baseline_src, args.restarts, batch=False)
-    here = collect(HERE_SRC, args.restarts, batch=True)
+    baseline = collect(args.baseline_src, args.restarts)
+    here = collect(HERE_SRC, args.restarts)
     counts = {"same": 0, "close": 0, "moved": 0}
     for old, new in zip(baseline[:-1], here[:-1]):
         assert old["case"] == new["case"], (old["case"], new["case"])
