@@ -44,6 +44,53 @@ def validate_prob_vector(p, tol=PROB_TOL, what="probability vector"):
     return p if abs(s - 1.0) <= p.size * _ROUNDING else p / s
 
 
+# Kernels that keep a batch axis last sum whole planes, and reproduce the
+# sums numpy made when the batch axis led.  numpy adds a contiguous last
+# axis pairwise and any other axis one plane after another, starting from
+# 0.0 either way; below 8 terms the two orders agree.
+
+def _atom_sum(planes, axis=0):
+    """Sum of an array over its atoms, axis `axis`, added in the order numpy
+    sums a contiguous last axis of that length: one after another below 8
+    atoms, else in 8 interleaved partial sums (`pairwise_sum`), halved in
+    blocks of 8 past 128 atoms.  So the atom-major kernel reproduces the
+    sums of an atom-last one to the last bit."""
+    n = planes.shape[axis]
+    if n < 8:
+        return np.add.reduce(planes, axis)
+    if axis:
+        planes = np.moveaxis(planes, axis, 0)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _atom_sum(planes[:half]) + _atom_sum(planes[half:])
+    end = n - n % 8
+    # r[j] adds atoms j, j + 8, j + 16, ... in turn; then
+    # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), and the rest in turn
+    r = planes[:8]
+    if end > 8:
+        r = np.add.reduce(planes[:end].reshape((-1, 8) + planes.shape[1:]), 0)
+    r = r[0::2] + r[1::2]
+    r = r[0::2] + r[1::2]
+    total = r[0] + r[1]
+    for plane in planes[end:]:
+        total += plane
+    return 0.0 + total  # numpy's sum of negative zeros is 0.0
+
+
+def _plane_sum(planes, axis=0):
+    """Sum of an array over axis `axis`, one plane after another: the order
+    numpy sums an axis that some longer axis follows in memory, whatever
+    the memory layout of planes."""
+    if planes.shape[axis] < 8:
+        return np.add.reduce(planes, axis)
+    if axis:
+        planes = np.moveaxis(planes, axis, 0)
+    total = np.add.reduce(planes[:7], 0)
+    for plane in planes[7:]:
+        total += plane
+    return total
+
+
 @dataclass(frozen=True)
 class ConditionalDistribution:
     """Row-stochastic matrix: row i is the output distribution given input i."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError, InfeasibleDecompositionError
-from .game_core import ConditionalDistribution, validate_prob_vector
+from .game_core import ConditionalDistribution, _atom_sum, validate_prob_vector
 
 MASS_TOL = 1e-12
 FEASIBILITY_TOL = 1e-10  # total variation between a reported decomposition and the target
@@ -30,6 +30,11 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+def _plogp(p):
+    """p log2 p elementwise, 0 where p is 0."""
+    return p * np.log2(np.where(p > 0, p, 1.0))
+
+
 def _entropy_rows(p, n_axes):
     """-sum q log2 q over the last n_axes axes of p, for each leading index.
 
@@ -37,8 +42,14 @@ def _entropy_rows(p, n_axes):
     cells of its block, whatever the other blocks hold.
     """
     lead, cells = p.shape[:p.ndim - n_axes], p.shape[p.ndim - n_axes:]
-    terms = p * np.log2(np.where(p > 0, p, 1.0))
-    return -terms.reshape(lead + (math.prod(cells),)).sum(axis=-1)
+    return -_plogp(p).reshape(lead + (math.prod(cells),)).sum(axis=-1)
+
+
+def _entropy_planes(p, n_axes):
+    """_entropy_rows with the cells first: one entropy over the first n_axes
+    axes of p for each trailing index, its terms summed in _entropy_rows's
+    order, so bit for bit."""
+    return -_atom_sum(_plogp(p).reshape((-1,) + p.shape[n_axes:]))
 
 
 def entropy(p) -> float:

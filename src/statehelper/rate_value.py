@@ -18,13 +18,14 @@ from .game_core import (
     ConditionalDistribution,
     Game,
     SignalFunction,
+    _atom_sum,
+    _plane_sum,
     game_value,
-    payoff_against_pure,
     validate_prob_vector,
 )
 from .info_measures import (
     JointDistribution,
-    _entropy_rows,
+    _entropy_planes,
     binary_entropy,
     inverse_binary_entropy,
 )
@@ -167,11 +168,13 @@ class RateValuePoint:
 
 
 def _joint_mass(prior, p_u_s, p_a_u):
-    """The (s, u, a) mass prior(s) p(u|s) p(a|u), not renormalized.
+    """The (s, u, a, *batch) mass prior(s) p(u|s) p(a|u), not renormalized.
 
-    p_u_s and p_a_u may carry the same leading batch axes.
+    p_u_s (s, u, *batch) and p_a_u (u, a, *batch) may carry the same
+    trailing batch axes.
     """
-    return prior[:, None, None] * p_u_s[..., :, :, None] * p_a_u[..., None, :, :]
+    prior = prior.reshape(prior.shape + (1,) * p_u_s.ndim)
+    return prior * p_u_s[:, :, None] * p_a_u[None]
 
 
 def _nonneg(x):
@@ -179,40 +182,60 @@ def _nonneg(x):
     return np.where(x < 0.0, 0.0, x)[()]
 
 
+def _cell_sum(x, axis, trailing):
+    """Sum over an axis in the order numpy summed it while the batch led:
+    pairwise (_atom_sum) where `trailing`, the length that followed that
+    axis in memory, was 1, so that it was a contiguous last axis; one plane
+    after another (_plane_sum) otherwise."""
+    return (_atom_sum if trailing == 1 else _plane_sum)(x, axis)
+
+
 class _stats_kernel:
     """All Theorem-1 inputs from (s, u, a) joints: the one copy of the formulas.
 
-    m has shape (..., s, u, a), each (s, u, a) block a nonnegative tensor
-    summing to 1 (layered_payoff passes U = U1 and U = (U1, U2) marginals);
-    payoff is indexed [a, b, s].  The result reads like a SchemeStats: each
-    field has m's leading shape, and is a float for a single joint.  The
-    five entropies and the best-response masses are computed at once; each
-    field is formed on first access, so the bound optimizer's objective
-    pays only for the four that _penalized_payoff reads for its B.  Every
-    sum runs within one block, so a stack of joints gives each joint's
-    statistics bit for bit.  Nothing is checked, so callers outside the
-    optimizer and layered_payoff go through scheme_statistics.
+    m has shape (s, u, a, *batch), each (s, u, a) block a nonnegative
+    tensor summing to 1 (layered_payoff passes U = U1 and U = (U1, U2)
+    marginals); payoff is indexed [a, b, s].  The result reads like a
+    SchemeStats: each field has m's batch shape, and is a float for a
+    single joint.  The five entropies and the best-response masses are
+    computed at once; each field is formed on first access, so the bound
+    optimizer's objective pays only for the four that _penalized_payoff
+    reads for its B.  With the batch last, every sum over s, u or a adds
+    whole planes of the batch, and adds them in the order numpy's
+    reductions used when the batch led (_cell_sum), so each joint of a
+    stack gets its statistics bit for bit as it would alone, and as the
+    leading-batch kernel computed them.  One shape is the exception: with
+    |S| = |B| = 1, einsum summed the payoff contraction in its own order,
+    so w may differ from it in the last bit.  Nothing is checked, so callers
+    outside the optimizer and layered_payoff go through scheme_statistics.
     """
 
     def __init__(self, m, payoff):
-        p_su = m.sum(axis=-1)
-        p_sa = m.sum(axis=-2)
-        p_s = p_su.sum(axis=-1)
+        ns, nu, na = m.shape[:3]
+        batch = m.shape[3:]
+        p_su = _atom_sum(m, 2)
+        p_sa = _cell_sum(m, 1, na)
+        p_s = _atom_sum(p_su, 1)
         # one live state: H(S) is 0, not -x log x of a marginal x = 1 +- ulp,
         # and I(U;S) is exactly 0 (H(U) and H(S,U) sum the same terms, but the
         # zero cells of the dead states can group those sums differently)
-        self._several_states = (p_s != 0).sum(axis=-1) > 1
-        self._h_s = np.where(self._several_states, _entropy_rows(p_s, 1), 0.0)
-        self._h_u = _entropy_rows(p_su.sum(axis=-2), 1)
-        self._h_su = _entropy_rows(p_su, 2)
-        self._h_sa = _entropy_rows(p_sa, 2)
-        self._h_sua = _entropy_rows(m, 3)
-        # w[..., u, s, b]: A's payoff mass per (u, s) cell and pure b, summed
-        # over s where B is blind to the state (as payoff_against_pure does,
-        # one contraction serving all four) and over all cells in (s, u)
-        # order where B sees neither: the bound optimizer's path follows
-        # pi_low's last bit
-        self._w = payoff_against_pure(m.swapaxes(-3, -2), payoff, b_sees_state=True)
+        self._several_states = (p_s != 0).sum(axis=0) > 1
+        self._h_s = np.where(self._several_states, _entropy_planes(p_s, 1), 0.0)
+        self._h_u = _entropy_planes(_cell_sum(p_su, 0, nu), 1)
+        self._h_su = _entropy_planes(p_su, 2)
+        self._h_sa = _entropy_planes(p_sa, 2)
+        self._h_sua = _entropy_planes(m, 3)
+        # w[s, u, b, *batch]: A's payoff mass per (s, u) cell and pure b,
+        # contracted over a one plane after another as einsum did; summed
+        # over u where B is blind to the codeword, over s where B is blind
+        # to the state and over all cells in (s, u) order where B sees
+        # neither: the bound optimizer's path follows pi_low's last bit
+        nb = payoff.shape[1]
+        pay = payoff.transpose(2, 0, 1).reshape((ns, 1, na, nb) + (1,) * len(batch))
+        self._w = _plane_sum(m[:, :, :, None] * pay, 2)
+        # what followed u, and s, in the memory of einsum's w: it laid w out
+        # as (s, u, b), or as (b, s, u) where |A| = 1 < |S|
+        self._after_u, self._after_s = (1, nu) if na == 1 < ns else (nb, nu * nb)
 
     @cached_property
     def i_us(self):
@@ -229,20 +252,23 @@ class _stats_kernel:
 
     @cached_property
     def pi_low(self):
-        w_su = np.ascontiguousarray(self._w.swapaxes(-3, -2))
-        return w_su.sum(axis=(-3, -2)).min(axis=-1)[()]
+        ns, nu, nb = self._w.shape[:3]
+        cells = self._w.reshape((ns * nu,) + self._w.shape[2:])
+        return _cell_sum(cells, 0, nb).min(axis=0)[()]
 
     @cached_property
     def pi_low_s(self):
-        return self._w.sum(axis=-3).min(axis=-1).sum(axis=-1)[()]
+        w_s = _cell_sum(self._w, 1, self._after_u)
+        return _atom_sum(w_s.min(axis=1))[()]
 
     @cached_property
     def pi_low_u(self):
-        return self._w.sum(axis=-2).min(axis=-1).sum(axis=-1)[()]
+        return _atom_sum(_cell_sum(self._w, 0, self._after_s).min(axis=1))[()]
 
     @cached_property
     def pi_low_su(self):
-        return self._w.min(axis=-1).sum(axis=(-2, -1))[()]
+        mins = self._w.min(axis=2)
+        return _atom_sum(mins.reshape((-1,) + mins.shape[2:]))[()]
 
 
 def scheme_statistics(game: Game, scheme: Scheme) -> SchemeStats:
@@ -330,10 +356,10 @@ class BoundSearch:
 
 
 def _softmax(z):
-    """Row-wise softmax over the last axis."""
-    z = z - z.max(axis=-1, keepdims=True)
+    """Row-wise softmax over axis 1 of (rows, columns, *batch) logits."""
+    z = z - z.max(axis=1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    return e / _atom_sum(e, 1)[:, None]
 
 
 def _pad_rows(rows, n_rows):
@@ -346,11 +372,11 @@ def _pad_rows(rows, n_rows):
 def _softmax_rows(theta, ns, nu, na):
     """The rows p(u|s) and p(a|u) that the optimizer's logits theta encode.
 
-    theta may carry leading batch axes, which the rows keep.
+    theta may carry trailing batch axes, which the rows keep.
     """
-    lead = theta.shape[:-1]
-    return (_softmax(theta[..., :ns * nu].reshape(lead + (ns, nu))),
-            _softmax(theta[..., ns * nu:].reshape(lead + (nu, na))))
+    batch = theta.shape[1:]
+    return (_softmax(theta[:ns * nu].reshape((ns, nu) + batch)),
+            _softmax(theta[ns * nu:].reshape((nu, na) + batch)))
 
 
 def _scheme_from_logits(theta, ns, nu, na):
@@ -411,8 +437,8 @@ _NM_TRIAL_WORST = np.array([[-_NM_RHO], [-_NM_RHO * _NM_CHI],
 # points go to fun in one call.  Evaluating all four saves the second call
 # of an iteration but triples the points; that pays only while a call's
 # fixed cost outweighs its work per point, as for the bound objective's
-# small batches (see _nelder_mead)
-_NM_ONE_CALL_SIZE = 320
+# batches up to about 2 000 (see _nelder_mead)
+_NM_ONE_CALL_SIZE = 1536
 
 
 def _sort_simplices(sim, fsim):
@@ -431,9 +457,10 @@ def _nelder_mead(fun, x0, maxiter, xatol, fatol):
     contraction), and scipy's branch rules pick from these values.  A
     larger batch calls fun on the reflections, then on the one second point
     each problem that needs one tries: fewer points in two calls.  The
-    bound objective costs about 80 us per call plus 0.15 us per point and
-    coordinate, so the one-call form wins up to about 250-400 (measured on
-    games with N from 8 to 24) and loses beyond.  An iteration in which
+    bound objective costs about 100 us per call plus 0.02-0.03 us per point
+    and coordinate, so the one-call form wins by 15-35 % up to about 1 000
+    and 6 % at 2 040, ties at 2 720 and loses by 9 % at 3 264 (measured on
+    games with N from 8 to 24).  An iteration in which
     some problem shrinks calls fun once more, on the shrunk vertices.  Per
     problem this is scipy's algorithm step for step (same coefficients,
     initial simplex, argsort order, xatol/fatol test and maxiter counted
@@ -548,7 +575,9 @@ def optimize_bound(game: Game, rate, b_knows_state: bool, card_u: int,
     row_rates = np.repeat(rates, n_starts)  # row i: rate i // n_starts
 
     def neg_obj(theta, rows):
-        m = _joint_mass(game.prior, *_softmax_rows(theta, ns, card_u, na))
+        # the kernel takes the batch of points last
+        m = _joint_mass(game.prior, *_softmax_rows(np.ascontiguousarray(theta.T),
+                                                   ns, card_u, na))
         return -_penalized_payoff(_stats_kernel(m, game.payoff), row_rates[rows],
                                   b_knows_state)
 

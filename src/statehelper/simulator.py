@@ -31,6 +31,7 @@ from .errors import CapacityError, ContractViolationError, InfeasibleRateError
 from .game_core import (
     ConditionalDistribution,
     Game,
+    _atom_sum,
     best_response,
     optimal_state_strategy,
     solve_matrix_game,
@@ -363,28 +364,6 @@ THETA_RTOL = 1e-10  # saddlepoint solve: Newton step or bracket, relative to 1 +
 # 200-trial criterion-7 match took 0.177, 0.153, 0.142, 0.156 and 0.157 s
 # (median of 7, 2-vCPU guest) at 256, 512, 1024, 2048 and 4096 rows
 TAIL_BATCH_ROWS = 1024
-
-
-def _atom_sum(planes):
-    """Sum of an (atoms, ...) array over its atoms, added in the order numpy
-    sums a contiguous last axis of that length: one after another below 8
-    atoms, else in 8 interleaved partial sums (`pairwise_sum`), halved in
-    blocks of 8 past 128 atoms.  So the atom-major kernel reproduces the
-    sums of an atom-last one to the last bit."""
-    n = len(planes)
-    if n < 8:
-        return planes.sum(axis=0)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _atom_sum(planes[:half]) + _atom_sum(planes[half:])
-    end = n - n % 8
-    r = planes[:8].copy()
-    for i in range(8, end, 8):
-        r += planes[i:i + 8]
-    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for i in range(end, n):
-        total += planes[i]
-    return total
 
 
 class _CompetitorTail:

@@ -17,7 +17,12 @@ from statehelper import (
     game_value,
     solve_matrix_game,
 )
-from statehelper.game_core import optimal_state_strategy, validate_prob_vector
+from statehelper.game_core import (
+    _atom_sum,
+    _plane_sum,
+    optimal_state_strategy,
+    validate_prob_vector,
+)
 
 from conftest import random_game
 
@@ -231,3 +236,28 @@ def test_more_information_for_b_never_helps_a():
         assert vals[True, False] <= vals[False, False] + 1e-9
         assert vals[False, True] <= vals[False, False] + 1e-9
         assert vals[True, True] <= min(vals[True, False], vals[False, True]) + 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 3, 7, 8, 9, 15, 16, 17, 40])
+def test_plane_sum_adds_a_leading_axis_as_numpy_does(n):
+    """numpy sums axis 0 of a C-ordered (n, 8, 5) array one plane after
+    another; _plane_sum does so on any layout, also a transposed one on
+    which numpy itself would sum pairwise.  Magnitudes spread over 60
+    orders of magnitude make any other order change the last bit."""
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((n, 8, 5)) * np.exp(rng.uniform(-70, 70, (n, 8, 5)))
+    want = x.sum(axis=0)
+    assert np.array_equal(_plane_sum(x), want)
+    assert np.array_equal(_plane_sum(np.ascontiguousarray(np.moveaxis(x, 0, -1)), 2),
+                          want)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 130])
+def test_sums_of_negative_zeros_are_zero_as_in_numpy(n):
+    """numpy starts every sum from 0.0, so zeros that are all negative sum
+    to 0.0, whichever order it adds them in."""
+    planes = np.full((n, 4), -0.0)
+    want = np.ascontiguousarray(planes.T).sum(axis=1)
+    assert want.tobytes() == np.zeros(4).tobytes()
+    assert _atom_sum(planes).tobytes() == want.tobytes()
+    assert _plane_sum(planes).tobytes() == want.tobytes()

@@ -36,6 +36,7 @@ from statehelper import (
 )
 from statehelper import rate_value
 from statehelper.game_core import min_payoff_given_observation, payoff_against_pure
+from statehelper.info_measures import _entropy_rows
 from statehelper.rate_value import (
     INFO_TOL,
     RATE_TOL,
@@ -404,13 +405,14 @@ def games_and_schemes(draw, shape=None):
 @st.composite
 def joint_stacks(draw):
     """A game and the (s, u, a) joints of 1-4 schemes on it, each drawn as
-    games_and_schemes draws one, so single live states come up too."""
+    games_and_schemes draws one, so single live states come up too, stacked
+    on a trailing batch axis."""
     game, scheme = draw(games_and_schemes())
     shape = (game.n_states, scheme.card_u, game.n_actions_a, game.n_actions_b)
     schemes = [scheme] + [draw(games_and_schemes(shape))[1]
                           for _ in range(draw(st.integers(0, 3)))]
     return game, np.stack([_joint_mass(game.prior, s.p_u_given_s.rows,
-                                       s.p_a_given_u.rows) for s in schemes])
+                                       s.p_a_given_u.rows) for s in schemes], axis=-1)
 
 
 def _reference_stats(game, scheme):
@@ -540,15 +542,114 @@ def test_property_objective_on_rows_matches_scheme_path(pair, rate, informed, se
 def test_property_kernel_on_a_stack_is_the_kernel_on_each_joint(drawn):
     game, stack = drawn
     batched = _stats_kernel(stack, game.payoff)
-    deeper = _stats_kernel(stack[None], game.payoff)  # two batch axes
-    for k, m in enumerate(stack):
-        alone = _stats_kernel(m, game.payoff)
+    deeper = _stats_kernel(stack[..., None, :], game.payoff)  # two batch axes
+    for k in range(stack.shape[-1]):
+        alone = _stats_kernel(stack[..., k], game.payoff)
         for name in STATS_FIELDS:
             value = getattr(alone, name)
             assert isinstance(value, float), name
             bits = np.float64(value).tobytes()
             assert np.float64(getattr(batched, name)[k]).tobytes() == bits, name
             assert np.float64(getattr(deeper, name)[0, k]).tobytes() == bits, name
+
+
+def leading_batch_stats(m, payoff):
+    """The statistics kernel as it was with the batch axes leading: m has
+    shape (*batch, s, u, a), and every sum is numpy's own reduction over
+    the last axes.  The oracle of the batch-last kernel's summation order."""
+    p_su, p_sa = m.sum(axis=-1), m.sum(axis=-2)
+    p_s = p_su.sum(axis=-1)
+    several = (p_s != 0).sum(axis=-1) > 1
+    h_s = np.where(several, _entropy_rows(p_s, 1), 0.0)
+    h_u = _entropy_rows(p_su.sum(axis=-2), 1)
+    h_su, h_sa, h_sua = _entropy_rows(p_su, 2), _entropy_rows(p_sa, 2), _entropy_rows(m, 3)
+    w = payoff_against_pure(m.swapaxes(-3, -2), payoff, b_sees_state=True)
+
+    def nonneg(x):
+        return np.where(x < 0.0, 0.0, x)
+
+    return {"i_us": np.where(several, nonneg(h_s + h_u - h_su), 0.0),
+            "i_usa": nonneg(h_u + h_sa - h_sua),
+            "i_ua_given_s": nonneg(h_su + h_sa - h_s - h_sua),
+            "pi_low": np.ascontiguousarray(w.swapaxes(-3, -2)).sum(axis=(-3, -2)).min(axis=-1),
+            "pi_low_s": w.sum(axis=-3).min(axis=-1).sum(axis=-1),
+            "pi_low_u": w.sum(axis=-2).min(axis=-1).sum(axis=-1),
+            "pi_low_su": w.min(axis=-1).sum(axis=(-2, -1))}
+
+
+def _batch_last_problem(rng, shape, batch, live):
+    """The (s, u, a, *batch) joints of random schemes and a payoff[a, b, s]:
+    integer weights 0-4, so rows have zero cells and some U symbols no
+    state reaches, prior mass on the states of `live` alone, and a fifth
+    of the payoffs forbidden (-1e6)."""
+    ns, nu, na, nb = shape
+
+    def rows(n_rows, n_cols):
+        weights = rng.integers(0, 5, size=(n_rows, n_cols) + batch).astype(float)
+        weights[:, 0] += weights.sum(axis=1) == 0
+        return weights / weights.sum(axis=1, keepdims=True)
+
+    prior = rng.integers(1, 5, size=ns) * np.asarray(live, dtype=float)
+    payoff = rng.uniform(-3.0, 3.0, size=(na, nb, ns))
+    payoff[rng.random(payoff.shape) < 0.2] = FORBIDDEN
+    return _joint_mass(prior / prior.sum(), rows(ns, nu), rows(nu, na)), payoff
+
+
+def _assert_batch_last_kernel_is_exact(m, payoff):
+    """Each field of the stack m is each joint's alone, bit for bit, and the
+    leading-batch kernel's.  The exception is |S| = |B| = 1: there einsum
+    contracted a contiguous payoff column in its own (SIMD) order, so the
+    oracle is met within rounding only."""
+    ns, nb = m.shape[0], payoff.shape[1]
+    batch = m.shape[3:]
+    stack = _stats_kernel(m, payoff)
+    oracle = leading_batch_stats(
+        np.ascontiguousarray(np.moveaxis(m, (0, 1, 2), (-3, -2, -1))), payoff)
+    for name in STATS_FIELDS:
+        got = np.asarray(getattr(stack, name))
+        assert got.shape == batch, name
+        if ns == nb == 1:
+            np.testing.assert_allclose(got, oracle[name], rtol=1e-12, atol=1e-9)
+        else:
+            assert got.tobytes() == oracle[name].tobytes(), name
+        for index in np.ndindex(*batch):
+            alone = getattr(_stats_kernel(m[(...,) + index], payoff), name)
+            assert isinstance(alone, float), name
+            assert np.float64(alone).tobytes() == got[index].tobytes(), (name, index)
+
+
+@st.composite
+def batch_last_problems(draw):
+    """|S| 1-4, |U| and |A| 1-9 (so sums of 8 and more terms), |B| 1-3,
+    0, 1 or 2 trailing batch axes, and sometimes one live state."""
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 9)),
+             draw(st.integers(1, 9)), draw(st.integers(1, 3)))
+    batch = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    live = draw(st.lists(st.booleans(), min_size=shape[0], max_size=shape[0]))
+    live[draw(st.integers(0, shape[0] - 1))] = True
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return _batch_last_problem(rng, shape, batch, live)
+
+
+@SETTINGS
+@given(batch_last_problems())
+def test_property_batch_last_kernel_is_the_leading_batch_one_bit_for_bit(problem):
+    _assert_batch_last_kernel_is_exact(*problem)
+
+
+@pytest.mark.parametrize("shape", [
+    (2, 9, 1, 3),  # |A| = 1 < |S|: einsum laid w out (b, s, u), u summed pairwise
+    (9, 1, 1, 2),  # ... and s pairwise where |U| = 1
+    (1, 9, 1, 3),  # one state and one action: w stays (s, u, b)
+    (3, 8, 2, 1),  # |B| = 1: the cells of pi_low and the u of pi_low_s pairwise
+    (2, 9, 9, 2),  # 8 and more terms in every marginal, and 162 cells for H(S,U,A)
+    (1, 4, 3, 1),  # |S| = |B| = 1, met within rounding
+])
+def test_batch_last_kernel_at_the_shapes_where_numpy_changes_order(shape):
+    rng = np.random.default_rng(sum(shape))
+    for batch in ((), (5,), (2, 3)):
+        _assert_batch_last_kernel_is_exact(
+            *_batch_last_problem(rng, shape, batch, [True] * shape[0]))
 
 
 def test_scheme_statistics_rejects_mismatched_cardinalities(erasure_game):

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from statehelper import MatchConfig, run_match, simulator
+from statehelper import MatchConfig, game_core, run_match, simulator
 from statehelper.simulator import (
     TAIL_BATCH_ROWS,
     TAIL_REGIMES,
@@ -470,7 +470,7 @@ def test_atom_sum_adds_in_numpys_last_axis_order(n_atoms):
     rng = np.random.default_rng(n_atoms)
     x = rng.standard_normal((32, 8, n_atoms)) * np.exp(rng.uniform(-70, 70, (32, 8, n_atoms)))
     planes = np.ascontiguousarray(np.moveaxis(x, 2, 0))
-    assert np.array_equal(simulator._atom_sum(planes), x.sum(axis=2))
+    assert np.array_equal(game_core._atom_sum(planes), x.sum(axis=2))
 
 
 def _criterion_7_batch(informed, trials, seed):
